@@ -13,6 +13,10 @@ report     regenerate every paper table/figure (evalx runner)
 fleet      simulate a fleet of resident-homes (repro.fleet)
 lint       run the determinism / sim-safety static analyzer
 ========== ==========================================================
+
+Bad input -- an unknown ADL, ``--jobs`` below 1, an unreadable or
+invalid ``--config`` file -- exits with status 2 and one
+``repro: error: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from repro.adls.library import default_registry
 from repro.core.config import CoReDAConfig
 from repro.core.config_io import load_config
 from repro.core.adl import Routine
+from repro.core.errors import ConfigurationError, UnknownADLError
 from repro.core.system import CoReDA
 from repro.evalx.tables import ascii_curve, format_table
 from repro.planning.store import save_predictor
@@ -33,6 +38,24 @@ from repro.reporting.caregiver import CaregiverReport
 from repro.resident.dementia import DementiaProfile
 
 __all__ = ["main", "build_parser"]
+
+
+class UsageError(Exception):
+    """A bad command-line value, reported as one ``repro: error:`` line."""
+
+
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {jobs}")
+
+
+def _definition(name: str):
+    """The registered ADL ``name``; an unknown name is a usage error."""
+    try:
+        return default_registry().get(name)
+    except UnknownADLError as exc:
+        # KeyError subclasses quote str(); args[0] is the message.
+        raise UsageError(exc.args[0]) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,11 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="worker processes (output is byte-identical "
                        "for every N)")
-    fleet.add_argument("--shard-mode", choices=("batched", "per-home"),
-                       default="batched",
-                       help="run each shard's homes on one shared event "
-                       "kernel (batched, default) or one kernel per home; "
-                       "never affects the output bytes")
     fleet.add_argument("--policy-plane", choices=("shm", "json"),
                        default="shm",
                        help="how workers restore trained policies: a "
@@ -176,7 +194,11 @@ def _cmd_list_adls() -> int:
 
 def _resolve_config(args: argparse.Namespace) -> CoReDAConfig:
     if getattr(args, "config", None):
-        return load_config(args.config).with_seed(args.seed)
+        try:
+            config = load_config(args.config)
+        except ConfigurationError as exc:
+            raise UsageError(f"--config: {exc}") from None
+        return config.with_seed(args.seed)
     return CoReDAConfig(seed=args.seed)
 
 
@@ -209,8 +231,7 @@ def _parse_routine(
 
 
 def _cmd_train(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    registry = default_registry()
-    definition = registry.get(args.adl)
+    definition = _definition(args.adl)
     system = CoReDA.build(definition, _resolve_config(args))
     routine = None
     if args.routine:
@@ -232,8 +253,7 @@ def _cmd_train(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    registry = default_registry()
-    definition = registry.get(args.adl)
+    definition = _definition(args.adl)
     system = CoReDA.build(definition, _resolve_config(args))
     system.train_offline()
     if args.adapt:
@@ -285,6 +305,7 @@ def _cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         write_report,
     )
 
+    _check_jobs(args.jobs)
     if args.cache:
         check_cache_dir(parser, args.cache)
     timings = {}
@@ -307,6 +328,8 @@ def _cmd_fleet(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     from repro.evalx.runner import check_cache_dir
     from repro.fleet import FleetSpec, run_fleet
 
+    _check_jobs(args.jobs)
+    _definition(args.adl)
     if args.cache:
         check_cache_dir(parser, args.cache)
     try:
@@ -326,7 +349,6 @@ def _cmd_fleet(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         spec,
         jobs=args.jobs,
         cache_dir=args.cache,
-        batch_homes=args.shard_mode == "batched",
         policy_plane=args.policy_plane,
     )
     elapsed = time.perf_counter() - start  # repro: allow[DET002] timing display only
@@ -381,6 +403,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        return _dispatch(args, parser)
+    except UsageError as exc:
+        sys.stderr.write(f"repro: error: {exc}\n")
+        return 2
+
+
+def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.command == "list-adls":
         return _cmd_list_adls()
     if args.command == "train":

@@ -20,14 +20,12 @@ from repro.core.config import (
     RadioConfig,
     RemindingConfig,
     SensingConfig,
-    SimConfig,
 )
 from repro.core.errors import ConfigurationError
 
 __all__ = ["config_to_dict", "config_from_dict", "save_config", "load_config"]
 
 _SECTIONS: Dict[str, Type] = {
-    "sim": SimConfig,
     "sensing": SensingConfig,
     "radio": RadioConfig,
     "planning": PlanningConfig,
@@ -46,6 +44,10 @@ def config_from_dict(data: Dict[str, Any]) -> CoReDAConfig:
     Sections and keys may be omitted (defaults apply); unknown
     sections or keys raise :class:`ConfigurationError`.
     """
+    if not isinstance(data, dict):
+        raise ConfigurationError(
+            f"configuration must be an object, got {type(data).__name__}"
+        )
     known_top = set(_SECTIONS) | {"seed"}
     unknown = set(data) - known_top
     if unknown:
@@ -80,8 +82,21 @@ def save_config(config: CoReDAConfig, path: Union[str, Path]) -> None:
 def load_config(path: Union[str, Path]) -> CoReDAConfig:
     """Read a configuration previously written by :func:`save_config`.
 
-    Hand-edited files get full validation: structural errors raise
+    Hand-edited files get full validation: an unreadable file,
+    malformed JSON and structural errors raise
     :class:`ConfigurationError`; value errors raise through the
     dataclasses' own ``__post_init__`` checks.
     """
-    return config_from_dict(json.loads(Path(path).read_text()))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot read configuration {str(path)!r}: {exc.strerror}"
+        ) from None
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise ConfigurationError(
+            f"configuration {str(path)!r} is not valid JSON: {exc}"
+        ) from None
+    return config_from_dict(data)

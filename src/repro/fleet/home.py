@@ -230,7 +230,7 @@ def resolve_home_predictor(
     The predictor is a read-only greedy lookup over the trained
     Q-table, so callers may share one instance across every home
     with the same :attr:`~repro.fleet.spec.HomeSpec.training_key`
-    (the batched shard mode does) without perturbing a single byte.
+    (the shard kernel does) without perturbing a single byte.
     """
     cached = train_home_policy(
         definition, home, config, training_episodes, cache
@@ -249,7 +249,7 @@ def build_home_deployment(
 ) -> CoReDA:
     """One home's live deployment, policy resolved and deployed.
 
-    ``sim`` shares a kernel across homes (the batched shard mode);
+    ``sim`` shares a kernel across homes (:mod:`repro.fleet.shard`);
     left ``None``, the home gets a private kernel.  Either way the
     home's random streams derive from its own SHA-256 seed, so the
     event *content* is identical -- only the queue it shares differs.

@@ -3,7 +3,7 @@
 :func:`repro.fleet.home.simulate_home` runs each home on a private
 :class:`~repro.sim.kernel.Simulator`, so a 50-home shard pays for 50
 kernels, 50 network boots and 50 cold caches of everything the
-interpreter touches per event loop.  The batched mode here loads all
+interpreter touches per event loop.  This module loads all
 homes of a shard into **one** shared kernel and lets their event
 streams interleave on the common clock.
 
@@ -23,8 +23,8 @@ Byte-identity with the per-home path falls out of three facts:
   standalone driver loop would observe, before any same-instant
   later-sequence event has fired.
 
-The tests cross-check report-for-report equality between the two
-modes, across kernel backends and across ``--jobs``.
+``simulate_home`` stays the spec: the tests check report-for-report
+equality against it, and byte-identical fleets across ``--jobs``.
 """
 
 from __future__ import annotations
@@ -183,10 +183,7 @@ class ShardSimulator:
         runtime: Optional[HomeRuntime] = None,
     ) -> None:
         self.config = config
-        self.sim = Simulator(
-            backend=config.sim.kernel_backend,
-            bucket_width=config.sim.bucket_width,
-        )
+        self.sim = Simulator()
         self._runs: List[_HomeRun] = []
         self._active = 0
         self._runtime = runtime
@@ -227,16 +224,14 @@ class ShardSimulator:
         reuse still counts as a cache hit, because the policy *was*
         served from that cache entry.
 
-        Under the batched inference backend the shared predictor is
-        additionally wrapped in a :class:`~repro.rl.batch.
-        ShardPredictor`: its full greedy-policy table is precomputed
-        here, once per distinct training per shard, so every per-step
-        prediction inside the shared kernel is a single array index
-        (byte-identical answers; see docs/architecture.md).
+        The shared predictor is additionally wrapped in a
+        :class:`~repro.rl.batch.ShardPredictor`: its full greedy-policy
+        table is precomputed here, once per distinct training per
+        shard, so every per-step prediction inside the shared kernel
+        is a single array index (byte-identical answers; see
+        docs/architecture.md).
         """
         predictor = runtime.predictor(home)
-        if self.config.planning.infer_backend != "batched":
-            return predictor
         key = home.training_key
         wrapped = self._predictors.get(key)
         if wrapped is None:

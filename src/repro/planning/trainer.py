@@ -177,7 +177,6 @@ class RoutineTrainer:
                 trace_decay=self.config.trace_decay,
                 policy=policy,
                 initial_q=self.config.initial_q,
-                q_backend=self.config.q_backend,
             )
         self.learner = learner
         self.actions: Tuple[PromptAction, ...] = tuple(action_space(adl))

@@ -1,15 +1,16 @@
-"""Indexed dense backend for the tabular RL stack.
+"""Indexed dense storage for the tabular RL stack.
 
-The sparse :class:`~repro.rl.qtable.QTable` pays, on every argmax, a
-fresh ``sorted(actions, key=repr)`` (string formatting per action) and
-one dict probe per action with tuple-of-namedtuple hashing -- and the
+A dict-backed Q-table pays, on every argmax, a fresh
+``sorted(actions, key=repr)`` (string formatting per action) and one
+dict probe per action with tuple-of-namedtuple hashing -- and the
 trainer probes the greedy policy over the whole routine every
-iteration, so that cost dominates every training-bound experiment
-cell.  This module replaces the data layout, not the algorithm:
+iteration, so that cost would dominate every training-bound
+experiment cell.  This module keeps the algorithm and changes the
+data layout:
 
 * :class:`StateActionIndex` interns states and actions to dense
   integer ids and computes each action set's repr-sort order **once**,
-  preserving the sparse backend's deterministic tie-breaking exactly;
+  which is the deterministic tie-breaking order;
 * :class:`DenseQTable` stores Q row-major in one flat buffer indexed
   by ``state_id * stride + action_id``, with a NumPy ``[n_states,
   n_actions]`` mirror behind :meth:`as_array` that services the
@@ -25,14 +26,15 @@ cell.  This module replaces the data layout, not the algorithm:
   e[active]`` over precomputed offsets with no hashing and no
   snapshot copy.
 
-The contract, in the spirit of the sensing fast path: training through
-this backend is **byte-identical** to the sparse backend -- the same
-IEEE-754 operations in an order whose regrouping is value-exact
-(elementwise multiply/add per independent pair, first-max argmax over
-the same repr order), so Q-values, learning curves, convergence
-iterations, RNG draw sequences and cached training documents come out
-bit-for-bit equal.  ``tests/test_rl_dense.py`` pins that down per
-learner, trace kind and seed.
+The contract: the tables behave exactly like the plain dict-backed
+spec kept under ``tests/oracles/`` -- the same IEEE-754 operations in
+an order whose regrouping is value-exact (elementwise multiply/add per
+independent pair, first-max argmax over the same repr order), so
+Q-values, learning curves, convergence iterations, RNG draw sequences
+and cached training documents come out bit-for-bit equal.
+``tests/test_oracles.py`` checks the tables against that spec, and
+``tests/test_rl_dense.py`` pins every learner's training run to
+digests recorded from it.
 """
 
 from __future__ import annotations
@@ -42,15 +44,12 @@ from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.rl.qtable import QTable
-from repro.rl.traces import EligibilityTraces, TraceKind
+from repro.rl.traces import TraceKind
 
 __all__ = [
     "StateActionIndex",
     "DenseQTable",
     "DenseTraces",
-    "make_qtable",
-    "make_traces",
 ]
 
 State = Hashable
@@ -115,8 +114,8 @@ class _ActionView:
 class StateActionIndex:
     """Interns states/actions to dense ids; append-only, shareable.
 
-    The repr-sort order of an action sequence -- the sparse backend's
-    tie-breaking order -- is computed once per distinct sequence and
+    The repr-sort order of an action sequence -- the tie-breaking
+    order -- is computed once per distinct sequence and
     cached, first by tuple identity (the trainers pass the same
     actions tuple on every call) and then by value.
     """
@@ -181,7 +180,7 @@ class StateActionIndex:
         view = self._views.get(key)
         if view is None:
             ids = [self.action_id(a) for a in key]
-            # Stable sort by repr = the sparse backend's tie-break order.
+            # Stable sort by repr = the tie-break order.
             order = sorted(range(len(key)), key=lambda i: repr(key[i]))
             sorted_ids = [ids[i] for i in order]
             sorted_actions = tuple(key[i] for i in order)
@@ -203,9 +202,9 @@ class StateActionIndex:
 class DenseQTable:
     """Dense ``(state, action) -> value`` table over indexed storage.
 
-    API-compatible with :class:`~repro.rl.qtable.QTable` (default
-    initial value, repr-order tie-breaking, loud empty-action errors,
-    ``known_pairs`` over the written support).  Values live row-major
+    A table starts at a default initial value, breaks argmax ties in
+    repr order, fails loudly on an empty action set and reports
+    ``known_pairs`` over the written support.  Values live row-major
     in one flat buffer (``offset = state_id * stride + action_id``);
     :meth:`as_array` exposes the same data as a NumPy matrix, rebuilt
     lazily after writes, which :meth:`best_actions` uses for large
@@ -242,7 +241,7 @@ class DenseQTable:
     ) -> None:
         self.initial_value = float(initial_value)
         self.index = index if index is not None else StateActionIndex()
-        #: Monotone write counter (see :attr:`QTable.version`); the
+        #: Monotone write counter, bumped on every write; the
         #: memoized greedy readouts of :mod:`repro.rl.batch`
         #: revalidate against it.
         self.version = 0
@@ -407,7 +406,7 @@ class DenseQTable:
         return arr
 
     # ------------------------------------------------------------------
-    # QTable-compatible API
+    # Table API
 
     def value(self, state: State, action: Action) -> float:
         """Q(s, a), defaulting to the initial value for unseen pairs."""
@@ -480,7 +479,7 @@ class DenseQTable:
             g = _make_gather([base + a for a in sorted_ids])
             self._g1[sid] = g
         # index(max(values)) is the first maximum in repr order --
-        # exactly the sparse tie-break -- with every scan in C.
+        # the tie-break order -- with every scan in C.
         values = g(self._flat)
         return view.sorted_actions[values.index(max(values))]
 
@@ -540,8 +539,8 @@ class DenseQTable:
         return clone
 
     def max_abs_difference(self, other) -> float:
-        """sup-norm distance to ``other`` (sparse or dense) over either
-        table's written support."""
+        """sup-norm distance to ``other`` over either table's written
+        support."""
         keys = set(self.known_pairs()) | set(other.known_pairs())
         if not keys:
             return 0.0
@@ -741,11 +740,11 @@ class _ArgmaxProber:
 class DenseTraces:
     """Eligibility traces over interned pair ids, as flat vectors.
 
-    Behaviour-compatible with
-    :class:`~repro.rl.traces.EligibilityTraces` (visit rules, decay,
-    cutoff drop, snapshot ``items()``), with the whole TD(λ) sweep
-    exposed as :meth:`apply_update`: ``Q[active] += coef * e[active]``
-    over precomputed flat offsets, no hashing, no snapshot copy.
+    Visits replace or accumulate (:class:`~repro.rl.traces.TraceKind`),
+    decay drops entries below ``cutoff`` and ``items()`` is a
+    snapshot.  The whole TD(λ) sweep is :meth:`apply_update`:
+    ``Q[active] += coef * e[active]`` over precomputed flat offsets,
+    no hashing, no snapshot copy.
     """
 
     __slots__ = (
@@ -856,8 +855,7 @@ class DenseTraces:
         Straight into the flat buffer when ``q`` is a
         :class:`DenseQTable` on the same index; a plain loop through
         ``q.add`` otherwise.  Elementwise multiply-then-add per
-        independent pair, in insertion (first-visit) order --
-        bit-identical to the sparse backend's per-pair arithmetic.
+        independent pair, in insertion (first-visit) order.
         """
         pairs = self._pairs
         if not pairs:
@@ -887,27 +885,3 @@ class DenseTraces:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DenseTraces({self.kind.value}, active={len(self._pairs)})"
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-
-
-def make_qtable(
-    backend: str,
-    initial_value: float = 0.0,
-    index: Optional[StateActionIndex] = None,
-):
-    """A Q-table of the requested backend (``"dense"`` | ``"sparse"``)."""
-    if backend == "dense":
-        return DenseQTable(initial_value, index=index)
-    if backend == "sparse":
-        return QTable(initial_value)
-    raise ValueError(f"unknown q_backend {backend!r}")
-
-
-def make_traces(q, kind: TraceKind = TraceKind.REPLACING):
-    """Eligibility traces matching the backend of ``q``."""
-    if isinstance(q, DenseQTable):
-        return DenseTraces(index=q.index, kind=kind)
-    return EligibilityTraces(kind=kind)

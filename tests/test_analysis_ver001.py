@@ -192,7 +192,6 @@ class TestExemptIdioms:
                 def copy(self):
                     clone = Table.__new__(Table)
                     clone._flat = self._flat[:]
-                    clone._q = dict(self._q)
                     return clone
             """
         )
@@ -214,35 +213,14 @@ class TestExemptIdioms:
         )
         assert found == []
 
-    def test_direct_bump_after_sparse_write_is_clean(self):
-        found = ver_findings(
-            """
-            class QTable:
-                def set(self, key, value):
-                    self._q[key] = value
-                    self.version += 1
-            """
-        )
-        assert found == []
-
 
 class TestWriteShapes:
-    def test_sparse_dict_write_without_bump_flagged(self):
-        found = ver_findings(
-            """
-            class QTable:
-                def set(self, key, value):
-                    self._q[key] = value
-            """
-        )
-        assert [f.rule for f in found] == ["VER001"]
-
     def test_mutating_method_call_on_buffer_flagged(self):
         found = ver_findings(
             """
-            class QTable:
+            class Table:
                 def merge(self, other):
-                    self._q.update(other)
+                    self._flat.extend(other)
             """
         )
         assert [f.rule for f in found] == ["VER001"]

@@ -74,11 +74,10 @@ class TestTrain:
         assert main(["train", "tea-making", "--plot"]) == 0
         assert "*" in capsys.readouterr().out
 
-    def test_unknown_adl_raises(self):
-        from repro.core.errors import UnknownADLError
-
-        with pytest.raises(UnknownADLError):
-            main(["train", "cooking"])
+    def test_unknown_adl_raises(self, capsys):
+        # Reported as a usage error, not raised as a traceback.
+        assert main(["train", "cooking"]) == 2
+        assert "unknown ADL 'cooking'" in capsys.readouterr().err
 
     def test_routine_with_non_integer_exits_cleanly(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -159,3 +158,67 @@ class TestConfigFile:
         out = capsys.readouterr().out
         assert "Event timeline" in out
         assert "Put tea-leaf into kettle" in out
+
+
+def _write(path, text):
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+#: Each bad input, as (argv builder, text the one error line must
+#: contain).  Builders take a tmp dir for the --config cases; the
+#: parent-era configs carry settings that no longer exist.
+BAD_INPUTS = {
+    "fleet-unknown-adl": (lambda tmp: ["fleet", "--adl", "nope"],
+                          "unknown ADL 'nope'"),
+    "train-unknown-adl": (lambda tmp: ["train", "nope"],
+                          "unknown ADL 'nope'"),
+    "simulate-unknown-adl": (lambda tmp: ["simulate", "nope"],
+                             "unknown ADL 'nope'"),
+    "fleet-jobs-0": (lambda tmp: ["fleet", "--jobs", "0"],
+                     "--jobs must be at least 1"),
+    "report-jobs-0": (lambda tmp: ["report", "--fast", "--jobs", "0"],
+                      "--jobs must be at least 1"),
+    "config-missing": (
+        lambda tmp: ["train", "tea-making", "--config",
+                     str(tmp / "absent.json")],
+        "cannot read configuration",
+    ),
+    "config-malformed": (
+        lambda tmp: ["train", "tea-making", "--config",
+                     _write(tmp / "bad.json", "{not json")],
+        "is not valid JSON",
+    ),
+    "config-unknown-key": (
+        lambda tmp: ["train", "tea-making", "--config",
+                     _write(tmp / "typo.json", '{"planing": {}}')],
+        "'planing'",
+    ),
+    "config-retired-sim-section": (
+        lambda tmp: ["train", "tea-making", "--config", _write(
+            tmp / "sim.json",
+            '{"sim": {"kernel_backend": "calendar", "bucket_width": 0.5}}',
+        )],
+        "'sim'",
+    ),
+    "config-retired-planning-keys": (
+        lambda tmp: ["train", "tea-making", "--config", _write(
+            tmp / "planning.json",
+            '{"planning": {"q_backend": "dense", '
+            '"infer_backend": "batched"}}',
+        )],
+        "'q_backend'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_with_one_error_line(case, tmp_path, capsys):
+    build, expected = BAD_INPUTS[case]
+    assert main(build(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("repro: error: ")
+    assert expected in lines[0]

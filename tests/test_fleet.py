@@ -256,7 +256,8 @@ class TestFleetDeterminism:
 
 
 class TestShardModes:
-    """Batched shared-kernel shards vs the per-home reference path."""
+    """Batched shared-kernel shards vs ``simulate_home``, the per-home
+    spec they are checked against."""
 
     @staticmethod
     def _report_fields(report):
@@ -289,53 +290,61 @@ class TestShardModes:
             self._report_fields(r) for r in per_home
         ]
 
-    def test_batched_fleet_matches_per_home_fleet(self, serial_result):
-        per_home = run_fleet(SPEC, jobs=1, batch_homes=False)
-        assert per_home.to_json() == serial_result.to_json()
+    def test_batched_fleet_matches_per_home_fleet(
+        self, serial_result, tea_fleet_definition, tmp_path
+    ):
+        """The whole fleet's metrics equal ``simulate_home`` mapped over
+        every home and merged shard by shard (the merge order fixes
+        the floating-point reductions)."""
+        from repro.core.config import CoReDAConfig
+        from repro.fleet import simulate_home
+        from repro.planning.store import PolicyCache
+
+        config = CoReDAConfig(seed=SPEC.seed)
+        cache = PolicyCache(str(tmp_path / "cache"))
+        metrics = FleetMetrics()
+        for shard in SPEC.shards(SPEC.expand(tea_fleet_definition)):
+            shard_metrics = FleetMetrics()
+            for home in shard:
+                shard_metrics.add_home(
+                    simulate_home(
+                        tea_fleet_definition, home, config,
+                        SPEC.episodes_per_home, SPEC.training_episodes,
+                        cache,
+                    )
+                )
+            metrics.merge(shard_metrics)
+        expected = serial_result.metrics.to_dict()
+        actual = metrics.to_dict()
+        # Cache accounting differs by construction (no training wave).
+        expected.pop("cache")
+        actual.pop("cache")
+        assert actual == expected
 
     def test_batched_fleet_byte_identical_across_jobs(self, serial_result):
-        assert run_fleet(SPEC, jobs=3, batch_homes=True).to_json() == (
-            serial_result.to_json()
-        )
+        assert run_fleet(SPEC, jobs=3).to_json() == serial_result.to_json()
 
-    def test_infer_backends_identical_in_both_shard_modes(
-        self, serial_result
+    def test_kernel_backends_identical_in_batched_mode(
+        self, serial_result, monkeypatch
     ):
-        from repro.core.config import CoReDAConfig, PlanningConfig
+        """The heap-queue oracle swapped in at the kernel's queue seam
+        replays the whole fleet byte for byte."""
+        from oracles.kernel import HeapQueue
 
-        scalar_config = CoReDAConfig(
-            seed=SPEC.seed,
-            planning=PlanningConfig(infer_backend="scalar"),
-        )
-        scalar_batched = run_fleet(SPEC, jobs=1, config=scalar_config)
-        assert scalar_batched.to_json() == serial_result.to_json()
-        scalar_per_home = run_fleet(
-            SPEC, jobs=2, config=scalar_config, batch_homes=False
-        )
-        assert scalar_per_home.to_json() == serial_result.to_json()
+        import repro.sim.kernel as kernel
 
-    def test_kernel_backends_identical_in_batched_mode(self, serial_result):
-        from repro.core.config import CoReDAConfig, SimConfig
-
-        heap = run_fleet(
-            SPEC,
-            jobs=1,
-            config=CoReDAConfig(
-                seed=SPEC.seed, sim=SimConfig(kernel_backend="heap")
-            ),
-        )
+        monkeypatch.setattr(kernel, "_CalendarQueue", HeapQueue)
+        heap = run_fleet(SPEC, jobs=1)
         assert heap.to_json() == serial_result.to_json()
 
     def test_cli_shard_mode_flag(self, capsys):
-        argv = [
-            "fleet", "--homes", "4", "--train-episodes", "40",
-            "--seed-classes", "2", "--shard-size", "2", "--json",
-        ]
-        assert main(argv + ["--shard-mode", "per-home"]) == 0
-        per_home = capsys.readouterr().out
-        assert main(argv + ["--shard-mode", "batched"]) == 0
-        batched = capsys.readouterr().out
-        assert json.loads(batched) == json.loads(per_home)
+        """Shards always share one kernel: the retired ``--shard-mode``
+        flag is a usage error."""
+        argv = ["fleet", "--homes", "4", "--shard-mode", "per-home"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "--shard-mode" in capsys.readouterr().err
 
 
 class TestPolicyPlanes:
@@ -343,7 +352,7 @@ class TestPolicyPlanes:
 
     The plane is a speed knob, not a semantics knob: both must
     produce the same bytes and the same cache accounting at any
-    ``--jobs``, in both shard modes.  (``serial_result`` runs on the
+    ``--jobs``.  (``serial_result`` runs on the
     default plane, which is ``shm`` -- so every byte-identity test in
     this module already exercises the arena; these pin the reference
     path against it explicitly.)
@@ -356,9 +365,7 @@ class TestPolicyPlanes:
     def test_json_plane_byte_identical_parallel_per_home(
         self, serial_result
     ):
-        json_plane = run_fleet(
-            SPEC, jobs=2, policy_plane="json", batch_homes=False
-        )
+        json_plane = run_fleet(SPEC, jobs=2, policy_plane="json")
         assert json_plane.to_json() == serial_result.to_json()
 
     def test_shm_plane_byte_identical_parallel(self, serial_result):

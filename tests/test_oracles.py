@@ -1,0 +1,314 @@
+"""Differential tests at the seams: each fast path vs its simple spec.
+
+Every production data structure below has one implementation in
+``src/``.  Its reference twin lives under ``tests/oracles/`` (or, for
+the HMM stack and the shard kernel, is the per-item public API), and
+Hypothesis drives both through the same random operation sequences:
+any observable difference -- a popped ``(time, seq)``, a Q-value, an
+argmax tie-break, a trace, a log-likelihood bit -- fails the test.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from oracles.kernel import HeapQueue
+from oracles.qtable import QTable
+from oracles.traces import EligibilityTraces
+
+from repro.core.config import CoReDAConfig
+from repro.fleet import FleetSpec, simulate_home, simulate_shard
+from repro.fleet.metrics import HomeReport
+from repro.planning.store import PolicyCache
+from repro.recognition import BatchedHMM, DiscreteHMM
+from repro.rl.dense import DenseQTable, DenseTraces
+from repro.rl.traces import TraceKind
+from repro.sim.kernel import Event, _CalendarQueue
+
+# ---------------------------------------------------------------------------
+# Event queue: _CalendarQueue vs the heapq oracle
+# ---------------------------------------------------------------------------
+
+#: Delays relative to the clock: repeats force same-instant ties, 0.0
+#: forces pushes into the bucket being drained, and the spread crosses
+#: bucket boundaries (the production width is 0.5 s).
+DELAYS = (0.0, 0.0, 0.01, 0.1, 0.25, 0.5, 0.7, 1.0, 3.0, 40.0)
+
+queue_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.sampled_from(DELAYS)),
+        st.tuples(st.just("cancel"), st.integers(0, 1 << 20)),
+        st.tuples(st.just("run"), st.sampled_from((0.0, 0.05, 0.5, 2.0, 50.0))),
+        st.tuples(st.just("step"), st.just(0)),
+        st.tuples(st.just("peek"), st.just(0)),
+        # A burst into one bucket, then cancel all but every k-th:
+        # drives the calendar's eager compaction past _COMPACT_MIN.
+        st.tuples(st.just("storm"), st.integers(2, 5)),
+    ),
+    max_size=80,
+)
+
+
+class _QueueDriver:
+    """One queue plus the clock discipline ``Simulator`` imposes on it:
+    pushes never precede ``now``; a drained ``run`` parks ``now`` at
+    its horizon (which is how pushes *before* the current bucket
+    arise after a ``peek`` has activated a later one)."""
+
+    def __init__(self, queue) -> None:
+        self.queue = queue
+        self.now = 0.0
+        self.seq = 0
+        self.events = []
+        self.log = []
+
+    def push(self, delay: float) -> None:
+        event = Event(time=self.now + delay, seq=self.seq)
+        self.seq += 1
+        self.events.append(event)
+        self.queue.push(event)
+
+    def apply(self, op, arg) -> None:
+        queue = self.queue
+        if op == "push":
+            self.push(arg)
+        elif op == "cancel" and self.events:
+            self.events[arg % len(self.events)].cancel()
+        elif op == "run":
+            horizon = self.now + arg
+            while True:
+                event = queue.pop_due(horizon)
+                if event is None:
+                    break
+                self.now = event.time
+                self.log.append(("fire", event.time, event.seq))
+            self.now = horizon
+        elif op == "step":
+            event = queue.pop_due(math.inf)
+            if event is not None:
+                self.now = event.time
+                self.log.append(("fire", event.time, event.seq))
+        elif op == "peek":
+            self.log.append(("peek", queue.peek_time()))
+        elif op == "storm":
+            start = len(self.events)
+            for i in range(3 * _CalendarQueue._COMPACT_MIN):
+                self.push(0.3 + i * 0.001)
+            for i, event in enumerate(self.events[start:]):
+                if i % arg:
+                    event.cancel()
+        self.log.append(("live", queue.live))
+
+
+@settings(max_examples=200, deadline=None)
+@given(queue_ops)
+def test_calendar_queue_matches_heap_oracle(ops):
+    calendar = _QueueDriver(_CalendarQueue())
+    heap = _QueueDriver(HeapQueue())
+    for op, arg in ops + [("run", math.inf)]:
+        calendar.apply(op, arg)
+        heap.apply(op, arg)
+    assert calendar.log == heap.log
+
+
+def test_queue_driver_reaches_the_interesting_paths():
+    """The strategy above can hit both rare calendar paths: eager
+    compaction and a push before the current bucket."""
+    driver = _QueueDriver(_CalendarQueue())
+    driver.apply("storm", 4)
+    # 48 pushes, 36 cancelled: compaction dropped the dead events.
+    assert len(driver.queue._buckets[0]) < 48
+    driver.apply("push", 3.0)
+    driver.apply("run", 2.0)
+    driver.apply("peek", 0)  # activates the bucket holding t=3.0
+    cur_key = driver.queue._cur_key
+    driver.apply("push", 0.1)  # t=2.1: before the current bucket
+    assert math.floor(2.1 / 0.5) < cur_key
+    heap = _QueueDriver(HeapQueue())
+    for op, arg in [("storm", 4), ("push", 3.0), ("run", 2.0), ("peek", 0),
+                    ("push", 0.1), ("run", math.inf)]:
+        heap.apply(op, arg)
+    driver.apply("run", math.inf)
+    assert driver.log == heap.log
+
+
+# ---------------------------------------------------------------------------
+# Q-table: DenseQTable vs the dict-backed oracle
+# ---------------------------------------------------------------------------
+
+STATES = st.integers(0, 6)
+#: repr order ("'a'" < "'b'" ...) disagrees with interning order
+#: whenever a later action is written first.
+ACTIONS = ("delta", "alpha", "charlie", "bravo")
+VALUES = st.sampled_from((-2.5, -1.0, 0.0, 0.5, 1.0, 1.0, 3.25, 1e6))
+action_sets = st.permutations(ACTIONS).flatmap(
+    lambda perm: st.integers(1, len(perm)).map(lambda k: tuple(perm[:k]))
+)
+
+table_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("set"), STATES, st.sampled_from(ACTIONS), VALUES),
+        st.tuples(st.just("add"), STATES, st.sampled_from(ACTIONS), VALUES),
+        st.tuples(st.just("value"), STATES, st.sampled_from(ACTIONS),
+                  st.just(None)),
+        st.tuples(st.just("best_action"), STATES, action_sets, st.just(None)),
+        st.tuples(st.just("max_value"), STATES, action_sets, st.just(None)),
+    ),
+    max_size=60,
+)
+
+
+def _table_step(table, op, state, action, value):
+    if op == "set":
+        table.set(state, action, value)
+    elif op == "add":
+        table.add(state, action, value)
+    elif op == "value":
+        return table.value(state, action)
+    elif op == "best_action":
+        return table.best_action(state, action)
+    elif op == "max_value":
+        return table.max_value(state, action)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((0.0, 1000.0)), table_ops)
+def test_dense_qtable_matches_dict_oracle(initial, ops):
+    dense, oracle = DenseQTable(initial), QTable(initial)
+    for op, state, action, value in ops:
+        assert _table_step(dense, op, state, action, value) == _table_step(
+            oracle, op, state, action, value
+        )
+    assert sorted(map(repr, dense.known_pairs())) == sorted(
+        map(repr, oracle.known_pairs())
+    )
+    assert dense.max_abs_difference(oracle) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Eligibility traces: DenseTraces vs the dict-backed oracle
+# ---------------------------------------------------------------------------
+
+trace_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("visit"), STATES, st.sampled_from(ACTIONS)),
+        st.tuples(st.just("decay"),
+                  st.sampled_from((0.0, 0.05, 0.5, 0.63, 0.9, 1.0)),
+                  st.just(None)),
+        st.tuples(st.just("apply"), VALUES, st.just(None)),
+        st.tuples(st.just("reset"), st.just(None), st.just(None)),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(TraceKind)), trace_ops)
+def test_dense_traces_match_dict_oracle(kind, ops):
+    dense_q, oracle_q = DenseQTable(0.5), QTable(0.5)
+    dense = DenseTraces(index=dense_q.index, kind=kind)
+    oracle = EligibilityTraces(kind=kind)
+    for op, a, b in ops:
+        if op == "visit":
+            dense.visit(a, b)
+            oracle.visit(a, b)
+        elif op == "decay":
+            dense.decay(a)
+            oracle.decay(a)
+        elif op == "apply":
+            dense.apply_update(dense_q, a)
+            oracle.apply_update(oracle_q, a)
+        else:
+            dense.reset()
+            oracle.reset()
+        assert list(dense.items()) == list(oracle.items())
+        assert len(dense) == len(oracle)
+    assert dense_q.max_abs_difference(oracle_q) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# HMM stack: BatchedHMM vs one DiscreteHMM forward per model
+# ---------------------------------------------------------------------------
+
+
+def _random_models(seed: int, sizes, n_symbols: int):
+    rng = np.random.default_rng(seed)
+    return [
+        DiscreteHMM(
+            rng.dirichlet(np.ones(n)),
+            rng.dirichlet(np.ones(n), size=n),
+            rng.dirichlet(np.ones(n_symbols), size=n),
+        )
+        for n in sizes
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(1, 8), min_size=1, max_size=6),
+    st.integers(1, 7).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.lists(st.integers(0, n - 1), max_size=30),
+                     min_size=1, max_size=5),
+        )
+    ),
+)
+def test_batched_hmm_bit_equals_per_model_loop(seed, sizes, alphabet):
+    n_symbols, streams = alphabet
+    models = _random_models(seed, sizes, n_symbols)
+    batched = BatchedHMM(models)
+    for stream in streams:
+        assert batched.log_likelihoods(stream).tolist() == [
+            m.log_likelihood(stream) for m in models
+        ]
+    assert batched.log_likelihood_matrix(streams).tolist() == [
+        [m.log_likelihood(s) for m in models] for s in streams
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Fleet shards: simulate_shard vs simulate_home mapped over the shard
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def shard_world(tmp_path_factory, tea_definition):
+    spec = FleetSpec(homes=12, seed=5, training_episodes=40, seed_classes=2)
+    cache = PolicyCache(str(tmp_path_factory.mktemp("oracle-cache")))
+    return tea_definition, spec, spec.expand(tea_definition), cache
+
+
+def _fields(report: HomeReport):
+    return [(slot, getattr(report, slot)) for slot in HomeReport.__slots__]
+
+
+@settings(
+    max_examples=10,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.data())
+def test_simulate_shard_equals_simulate_home_map(shard_world, data):
+    definition, spec, homes, cache = shard_world
+    shard = data.draw(
+        st.lists(st.sampled_from(homes), min_size=1, max_size=5, unique=True)
+    )
+    episodes = data.draw(st.integers(1, 2))
+    config = CoReDAConfig(seed=spec.seed)
+    batched = simulate_shard(
+        definition, shard, config, episodes, spec.training_episodes, cache
+    )
+    per_home = [
+        simulate_home(
+            definition, home, config, episodes, spec.training_episodes, cache
+        )
+        for home in shard
+    ]
+    assert [_fields(r) for r in batched] == [_fields(r) for r in per_home]

@@ -65,32 +65,18 @@ class TestMemoizedPrediction:
         return [(prev, cur) for prev in ids for cur in ids]
 
     def test_memoized_matches_unmemoized(self, tea_adl, training):
-        memoized = NextStepPredictor(
-            training.learner.q, training.actions, memoize=True
-        )
-        plain = NextStepPredictor(
-            training.learner.q, training.actions, memoize=False
-        )
+        # The table's own per-call argmax is the reference.
+        predictor = NextStepPredictor(training.learner.q, training.actions)
+        q = training.learner.q
         for state in self.all_states(tea_adl):
-            assert memoized.predict(state) == plain.predict(state)
-
-    def test_env_override_disables_memoization(self, training, monkeypatch):
-        monkeypatch.setenv("REPRO_INFER_BACKEND", "scalar")
-        predictor = NextStepPredictor(training.learner.q, training.actions)
-        assert not predictor._memoize
-        monkeypatch.setenv("REPRO_INFER_BACKEND", "batched")
-        predictor = NextStepPredictor(training.learner.q, training.actions)
-        assert predictor._memoize
+            assert predictor.predict(state) == q.best_action(
+                PlanningState(*state), training.actions
+            )
 
     def test_learner_writes_invalidate_memo(self, tea_adl, training):
         """Online adaptation writes through the deployed predictor's
         table; memoized predictions must track them, not go stale."""
-        predictor = NextStepPredictor(
-            training.learner.q, training.actions, memoize=True
-        )
-        plain = NextStepPredictor(
-            training.learner.q, training.actions, memoize=False
-        )
+        predictor = NextStepPredictor(training.learner.q, training.actions)
         states = self.all_states(tea_adl)
         for state in states:
             predictor.predict(state)
@@ -99,4 +85,6 @@ class TestMemoizedPrediction:
             for action in training.actions:
                 q.set(PlanningState(*state), action, -float(action.tool_id))
         for state in states:
-            assert predictor.predict(state) == plain.predict(state)
+            assert predictor.predict(state) == q.best_action(
+                PlanningState(*state), training.actions
+            )

@@ -115,7 +115,29 @@ class TestHMMNumericalEdges:
             model.viterbi([0, -2])
 
 
+def scalar_posterior(recognizer, stream):
+    """The per-model reference: one ``DiscreteHMM`` forward per
+    candidate, normalized exactly as the recognizer normalizes."""
+    symbols = recognizer._effective_symbols(stream)
+    if not symbols:
+        uniform = 1.0 / len(recognizer.adls)
+        return {adl.name: uniform for adl in recognizer.adls}
+    return recognizer._posterior_from_likelihoods(
+        [
+            recognizer._models[name].log_likelihood(symbols)
+            for name in recognizer._names
+        ]
+    )
+
+
+def scalar_classify(recognizer, stream):
+    posterior = scalar_posterior(recognizer, stream)
+    return max(sorted(posterior), key=lambda name: posterior[name])
+
+
 class TestRecognizerBackends:
+    """The recognizer's stacked forward vs the per-model HMM loop."""
+
     def streams(self, registry):
         streams = [[], [999]]
         for name in registry.names():
@@ -125,36 +147,32 @@ class TestRecognizerBackends:
 
     def test_backends_byte_identical(self, registry):
         adls = [registry.get(name).adl for name in registry.names()]
-        batched = ActivityRecognizer(adls, backend="batched")
-        scalar = ActivityRecognizer(adls, backend="scalar")
+        recognizer = ActivityRecognizer(adls)
         for stream in self.streams(registry):
-            assert batched.posterior(stream) == scalar.posterior(stream)
-            assert batched.classify(stream) == scalar.classify(stream)
+            assert recognizer.posterior(stream) == scalar_posterior(
+                recognizer, stream
+            )
+            assert recognizer.classify(stream) == scalar_classify(
+                recognizer, stream
+            )
 
     def test_batch_calls_match_scalar_loop(self, registry):
         adls = [registry.get(name).adl for name in registry.names()]
-        batched = ActivityRecognizer(adls, backend="batched")
-        scalar = ActivityRecognizer(adls, backend="scalar")
+        recognizer = ActivityRecognizer(adls)
         streams = self.streams(registry)
-        assert batched.posterior_batch(streams) == [
-            scalar.posterior(s) for s in streams
+        assert recognizer.posterior_batch(streams) == [
+            scalar_posterior(recognizer, s) for s in streams
         ]
-        assert batched.classify_batch(streams) == [
-            scalar.classify(s) for s in streams
+        assert recognizer.classify_batch(streams) == [
+            scalar_classify(recognizer, s) for s in streams
         ]
-        # The scalar recognizer's batch API is the plain loop.
-        assert scalar.posterior_batch(streams) == batched.posterior_batch(
-            streams
-        )
-
-    def test_env_override_selects_backend(self, registry, monkeypatch):
-        adls = [registry.get(name).adl for name in registry.names()]
-        monkeypatch.setenv("REPRO_INFER_BACKEND", "scalar")
-        assert ActivityRecognizer(adls)._batched is None
-        monkeypatch.setenv("REPRO_INFER_BACKEND", "batched")
-        assert ActivityRecognizer(adls)._batched is not None
+        # ... and the batch API agrees with the per-stream API.
+        assert recognizer.posterior_batch(streams) == [
+            recognizer.posterior(s) for s in streams
+        ]
 
     def test_invalid_backend_rejected(self, registry):
         adls = [registry.get(name).adl for name in registry.names()]
-        with pytest.raises(ValueError):
-            ActivityRecognizer(adls, backend="turbo")
+        # The stacked forward is the only path; nothing selects it.
+        with pytest.raises(TypeError):
+            ActivityRecognizer(adls, backend="scalar")

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles.qtable import QTable
 
 from repro.core.adl import ReminderLevel
 from repro.planning.action import PromptAction
@@ -14,7 +15,6 @@ from repro.rl.batch import (
 from repro.rl.dense import _VECTOR_MIN_ELEMENTS, DenseQTable
 from repro.rl.double_q import DoubleQLearner
 from repro.rl.expected_sarsa import ExpectedSarsaLearner
-from repro.rl.qtable import QTable
 from repro.rl.sarsa import SarsaLambdaLearner
 from repro.rl.tdlambda import TDLambdaQLearner
 
@@ -108,6 +108,8 @@ class TestGreedyPolicyFor:
         )
 
     def test_sparse_gets_memo(self):
+        # Any table with best_action and a version counter -- here the
+        # dict-backed oracle -- gets the generic memo.
         assert isinstance(
             greedy_policy_for(QTable(0.0), ACTIONS), MemoizedGreedyPolicy
         )

@@ -1,15 +1,20 @@
 """Unit tests for the discrete-event kernel."""
 
 import pytest
+from oracles.kernel import heap_simulator
 
 from repro.sim.kernel import Signal, SimulationError, Simulator
 
 
 @pytest.fixture(params=["heap", "calendar"])
 def sim(request) -> Simulator:
-    """Override the shared fixture: every kernel test runs on both
-    backends (they promise identical semantics, so identical tests)."""
-    return Simulator(backend=request.param)
+    """Override the shared fixture: every kernel test runs on the
+    production calendar queue and on the heap oracle swapped in at the
+    queue seam -- the oracle is only a spec while it passes the same
+    tests."""
+    if request.param == "heap":
+        return heap_simulator()
+    return Simulator()
 
 
 class TestScheduling:

@@ -1,29 +1,36 @@
-"""Backend equivalence: the calendar queue vs the reference heap.
+"""Queue equivalence: the calendar queue vs the binary-heap oracle.
 
-The calendar backend is a speed profile, not a semantics profile: any
-workload -- including randomized schedule/cancel storms, same-instant
-bursts and mid-drain pushes -- must replay event-for-event identically
-to the binary heap.  These tests drive both backends through identical
-operation scripts (seeded via :mod:`repro.sim.random`) and compare the
-fired sequences exactly, then gate the full Figure 1 scenario.
+The kernel's calendar queue must replay any workload -- including
+randomized schedule/cancel storms, same-instant bursts and mid-drain
+pushes -- event-for-event identically to a plain ``heapq`` of
+``(time, seq)``-ordered events (``tests/oracles/kernel.py``).  These
+tests drive a production simulator and one with the oracle swapped in
+at the queue seam through identical operation scripts (seeded via
+:mod:`repro.sim.random`) and compare the fired sequences exactly, then
+gate the full Figure 1 scenario.  The edge-case classes run on both
+queues: the oracle is only useful while it meets the same contract.
 """
 
 from __future__ import annotations
 
 import pytest
+from oracles.kernel import HeapQueue, heap_simulator
 
-from repro.core.config import CoReDAConfig, SimConfig
+import repro.sim.kernel as kernel
+from repro.core.config_io import config_from_dict
 from repro.core.errors import ConfigurationError
 from repro.evalx.scenario import run_tea_scenario
-from repro.sim.kernel import (
-    KERNEL_BACKENDS,
-    SimulationError,
-    Simulator,
-    default_kernel_backend,
-)
+from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.random import seeded_generator
 
-BACKENDS = list(KERNEL_BACKENDS)
+#: ``calendar`` is the production queue, ``heap`` the oracle.
+BACKENDS = ["heap", "calendar"]
+
+
+def make_sim(backend: str, start_time: float = 0.0) -> Simulator:
+    if backend == "heap":
+        return heap_simulator(start_time)
+    return Simulator(start_time)
 
 #: Deliberately collision-heavy delay grid: repeated values force
 #: same-instant ties, 0.0 forces same-instant pushes mid-drain, and
@@ -46,14 +53,14 @@ def generate_ops(seed: int, count: int = 400):
     return ops
 
 
-def replay(backend: str, ops, bucket_width: float = 0.5):
+def replay(backend: str, ops):
     """Apply one operation script to a fresh kernel; return the fires.
 
     Scheduled callbacks record ``(now, label)`` and some spawn
     children (same-instant and cross-bucket), so the script exercises
     pushes *during* a bucket drain, not just between runs.
     """
-    sim = Simulator(backend=backend, bucket_width=bucket_width)
+    sim = make_sim(backend)
     fired = []
     handles = []
     next_label = [0]
@@ -92,16 +99,18 @@ class TestRandomizedEquivalence:
         assert len(reference) > 100  # the script actually fires things
 
     @pytest.mark.parametrize("width", [0.05, 0.3, 1.0, 10.0])
-    def test_bucket_width_never_changes_the_replay(self, width):
+    def test_bucket_width_never_changes_the_replay(self, width, monkeypatch):
+        # The bucket width is a tuning constant, never a semantic one.
         ops = generate_ops(99)
         reference = replay("heap", ops)
-        assert replay("calendar", ops, bucket_width=width) == reference
+        monkeypatch.setattr(kernel, "_BUCKET_WIDTH", width)
+        assert replay("calendar", ops) == reference
 
 
 class TestSameInstantSemantics:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_push_during_drain_fires_after_earlier_ties(self, backend):
-        sim = Simulator(backend=backend)
+        sim = make_sim(backend)
         order = []
 
         def first():
@@ -115,7 +124,7 @@ class TestSameInstantSemantics:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_zero_delay_chain_advances_within_one_instant(self, backend):
-        sim = Simulator(backend=backend)
+        sim = make_sim(backend)
         fired = []
 
         def chain(depth):
@@ -132,7 +141,7 @@ class TestSameInstantSemantics:
 class TestCancellationAccounting:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_pending_count_excludes_cancelled(self, backend):
-        sim = Simulator(backend=backend)
+        sim = make_sim(backend)
         events = [sim.schedule(float(i + 1), lambda: None) for i in range(10)]
         assert sim.pending_count == 10
         for event in events[::2]:
@@ -144,11 +153,12 @@ class TestCancellationAccounting:
         assert sim.pending_count == 0
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_cancel_storm_in_one_bucket(self, backend):
-        # With bucket_width=100 every event lands in one bucket, so
-        # the calendar's eager compaction must fire repeatedly while
-        # survivors keep their relative order.
-        sim = Simulator(backend=backend, bucket_width=100.0)
+    def test_cancel_storm_in_one_bucket(self, backend, monkeypatch):
+        # With a bucket width of 100 every event lands in one bucket,
+        # so the calendar's eager compaction must fire repeatedly
+        # while survivors keep their relative order.
+        monkeypatch.setattr(kernel, "_BUCKET_WIDTH", 100.0)
+        sim = make_sim(backend)
         fired = []
         events = [
             sim.schedule(1.0 + i * 0.01, (lambda i=i: fired.append(i)))
@@ -163,7 +173,7 @@ class TestCancellationAccounting:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_cancel_after_fire_is_harmless(self, backend):
-        sim = Simulator(backend=backend)
+        sim = make_sim(backend)
         fired = []
         first = sim.schedule(1.0, lambda: fired.append("a"))
         sim.schedule(2.0, lambda: fired.append("b"))
@@ -176,7 +186,7 @@ class TestCancellationAccounting:
 class TestEventReuse:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_fired_reusable_event_is_recycled(self, backend):
-        sim = Simulator(backend=backend)
+        sim = make_sim(backend)
         seen = []
         first = sim.schedule(1.0, lambda: seen.append(1), reusable=True)
         sim.run()
@@ -187,7 +197,7 @@ class TestEventReuse:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_cancelled_reusable_event_is_recycled(self, backend):
-        sim = Simulator(backend=backend)
+        sim = make_sim(backend)
         event = sim.schedule(1.0, lambda: None, reusable=True)
         event.cancel()
         sim.run()  # lazy removal releases the carcass
@@ -200,7 +210,7 @@ class TestEventReuse:
         # The recurring-timeout shape (firmware loops, Process
         # timeouts): recycle-before-callback means the immediate
         # reschedule gets the same object back every period.
-        sim = Simulator(backend=backend)
+        sim = make_sim(backend)
         fired = []
         identities = set()
 
@@ -216,7 +226,7 @@ class TestEventReuse:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_plain_events_are_not_recycled(self, backend):
-        sim = Simulator(backend=backend)
+        sim = make_sim(backend)
         first = sim.schedule(1.0, lambda: None)
         sim.run()
         second = sim.schedule(1.0, lambda: None)
@@ -229,7 +239,7 @@ class TestClockEdges:
         # Bucket keys use floor(), not int() truncation: negative
         # times must still map to the bucket *below*, or the
         # far-future guard would skip due events.
-        sim = Simulator(start_time=-3.7, backend=backend)
+        sim = make_sim(backend, start_time=-3.7)
         fired = []
         sim.schedule(0.5, lambda: fired.append(sim.now))
         sim.schedule_at(-1.0, lambda: fired.append(sim.now))
@@ -238,7 +248,7 @@ class TestClockEdges:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_run_until_across_negative_boundary(self, backend):
-        sim = Simulator(start_time=-2.0, backend=backend)
+        sim = make_sim(backend, start_time=-2.0)
         fired = []
         for delay in (0.5, 1.5, 2.5, 3.5):
             sim.schedule(delay, (lambda d=delay: fired.append(d)))
@@ -249,7 +259,7 @@ class TestClockEdges:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_schedule_at_past_raises(self, backend):
-        sim = Simulator(backend=backend)
+        sim = make_sim(backend)
         sim.schedule(5.0, lambda: None)
         sim.run()
         with pytest.raises(SimulationError) as excinfo:
@@ -259,44 +269,29 @@ class TestClockEdges:
 
 
 class TestBackendSelection:
-    def test_simulator_records_its_backend(self):
-        assert Simulator(backend="heap").backend == "heap"
-        assert Simulator(backend="calendar").backend == "calendar"
+    """The queue is not selectable: one kernel, one configuration."""
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(SimulationError):
-            Simulator(backend="wheel-of-fortune")
-
-    def test_env_override_sets_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "heap")
-        assert default_kernel_backend() == "heap"
-        assert Simulator().backend == "heap"
-        assert SimConfig().kernel_backend == "heap"
+        with pytest.raises(TypeError):
+            Simulator(backend="heap")
 
     def test_sim_config_validates(self):
-        with pytest.raises(ConfigurationError):
-            SimConfig(kernel_backend="btree")
-        with pytest.raises(ConfigurationError):
-            SimConfig(bucket_width=0.0)
-
-    def test_config_flows_into_system_kernel(self):
-        from repro.adls.tea_making import tea_making_definition
-        from repro.core.system import CoReDA
-
-        config = CoReDAConfig(sim=SimConfig(kernel_backend="heap"))
-        system = CoReDA(tea_making_definition(), config)
-        assert system.sim.backend == "heap"
+        # Configurations saved while the kernel backend was a setting
+        # carry a "sim" section; loading one must fail naming it.
+        with pytest.raises(ConfigurationError, match="'sim'"):
+            config_from_dict(
+                {"sim": {"kernel_backend": "heap", "bucket_width": 0.5}}
+            )
 
 
 class TestScenarioBackendEquivalence:
-    """The tier-1 gate: the full Figure 1 scenario, heap vs calendar,
+    """The full Figure 1 scenario, oracle heap vs calendar queue,
     identical timelines."""
 
     def test_identical_timelines(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "heap")
-        heap = run_tea_scenario()
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "calendar")
         calendar = run_tea_scenario()
+        monkeypatch.setattr(kernel, "_CalendarQueue", HeapQueue)
+        heap = run_tea_scenario()
         assert calendar.timeline == heap.timeline
         assert calendar.completed == heap.completed
         for field in (
