@@ -1,29 +1,35 @@
-"""Bench: the block-sampling sensing fast path.
+"""Bench: the idle-horizon block sampler vs the per-sample oracle.
 
 Times the two sensing-bound experiment cells (``ablation.radio`` and
-``table3.extract``) under the reference per-sample loop
-(``batch_samples=1``) and the block fast path (the default), asserts
-the outputs are identical (the byte-identity contract of
-``docs/architecture.md``) and that the fast path wins by at least 3x,
-then sweeps block sizes and re-times the full ``--fast`` runner.
-Measurements land in ``BENCH_sensing.json`` at the repo root,
-extending the perf trajectory of ``BENCH_runner.json``.
+``table3.extract``) under the per-sample firmware oracle
+(``tests/oracles/firmware.py``) and the production block sampler,
+asserts the outputs are identical (the byte-identity contract of
+``docs/architecture.md``) and that the block sampler wins by at least
+3x, then re-times the full ``--fast`` runner.  Measurements land in
+``BENCH_sensing.json`` at the repo root, extending the perf trajectory
+of ``BENCH_runner.json``.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import time
-from dataclasses import replace
+from contextlib import nullcontext
 from pathlib import Path
 
-from repro.core.config import CoReDAConfig, SensingConfig
+from repro.core.config import CoReDAConfig
 from repro.evalx.ablations import plan_radio_sweep
 from repro.evalx.extract_precision import run_extract_precision
 from repro.evalx.parallel import run_section
 from repro.evalx.runner import run_all
 
-_OUT = Path(__file__).resolve().parent.parent / "BENCH_sensing.json"
+_ROOT = Path(__file__).resolve().parent.parent
+# The oracle lives with the tier-1 tests, outside the package.
+sys.path.insert(0, str(_ROOT / "tests"))
+from oracles.firmware import per_sample_firmware  # noqa: E402
+
+_OUT = _ROOT / "BENCH_sensing.json"
 _JOBS = 4
 #: The PR 1 baselines the runner must stay under (BENCH_runner.json).
 _RUNNER_COLD_BUDGET = 1.808
@@ -42,18 +48,20 @@ def _best_of(fn, rounds=3):
     return best, result
 
 
-def _radio_cell(tea, batch):
-    sensing = SensingConfig(batch_samples=batch)
-    return run_section(plan_radio_sweep(tea, samples_per_step=8,
-                                        sensing=sensing))
+def _firmware(oracle):
+    return per_sample_firmware() if oracle else nullcontext()
 
 
-def _extract_cell(paper_adls, batch):
-    config = replace(CoReDAConfig(),
-                     sensing=SensingConfig(batch_samples=batch))
-    result = run_extract_precision(
-        paper_adls, samples_per_step=10, config=config, seed=0
-    )
+def _radio_cell(tea, oracle):
+    with _firmware(oracle):
+        return run_section(plan_radio_sweep(tea, samples_per_step=8))
+
+
+def _extract_cell(paper_adls, oracle):
+    with _firmware(oracle):
+        result = run_extract_precision(
+            paper_adls, samples_per_step=10, config=CoReDAConfig(), seed=0
+        )
     return [
         (row.step_name, row.detections, row.trials) for row in result.rows
     ]
@@ -63,27 +71,21 @@ def test_sensing_fast_path(benchmark, paper_adls, tmp_path):
     tea = paper_adls[1]
     assert tea.adl.name == "tea-making"
 
-    # --- sensing-bound cells: reference loop vs block fast path ------
-    radio_slow_s, radio_slow = _best_of(lambda: _radio_cell(tea, 1))
-    radio_fast_s, radio_fast = _best_of(lambda: _radio_cell(tea, 10))
+    # --- sensing-bound cells: per-sample oracle vs block sampler ------
+    radio_slow_s, radio_slow = _best_of(lambda: _radio_cell(tea, True))
+    radio_fast_s, radio_fast = _best_of(lambda: _radio_cell(tea, False))
     assert radio_fast == radio_slow  # identical merged table
 
     extract_slow_s, extract_slow = _best_of(
-        lambda: _extract_cell(paper_adls, 1)
+        lambda: _extract_cell(paper_adls, True)
     )
     extract_fast_s, extract_fast = _best_of(
-        lambda: _extract_cell(paper_adls, 10)
+        lambda: _extract_cell(paper_adls, False)
     )
     assert extract_fast == extract_slow  # identical Table 3 counts
 
     radio_speedup = radio_slow_s / radio_fast_s
     extract_speedup = extract_slow_s / extract_fast_s
-
-    # --- block-size sweep on the extract cell ------------------------
-    block_sizes = {}
-    for batch in (1, 5, 10, 20):
-        seconds, _ = _best_of(lambda b=batch: _extract_cell(paper_adls, b))
-        block_sizes[str(batch)] = round(seconds, 3)
 
     # --- end-to-end runner, as BENCH_runner.json measures it ---------
     cache = str(tmp_path / "policy-cache")
@@ -99,28 +101,26 @@ def test_sensing_fast_path(benchmark, paper_adls, tmp_path):
     assert cold == serial
     assert warm == serial
 
-    # The benchmarked quantity: the batched extract cell (the hottest
-    # purely sensing-bound unit of work).
+    # The benchmarked quantity: the production extract cell (the
+    # hottest purely sensing-bound unit of work).
     benchmark.pedantic(
-        _extract_cell, args=(paper_adls, 10), rounds=1, iterations=1
+        _extract_cell, args=(paper_adls, False), rounds=1, iterations=1
     )
 
     payload = {
-        "batch_samples_default": SensingConfig().batch_samples,
         "equivalent_outputs": True,
         "cells": {
             "ablation.radio": {
-                "serial_seconds": round(radio_slow_s, 3),
-                "batched_seconds": round(radio_fast_s, 3),
+                "oracle_seconds": round(radio_slow_s, 3),
+                "production_seconds": round(radio_fast_s, 3),
                 "speedup": round(radio_speedup, 2),
             },
             "table3.extract": {
-                "serial_seconds": round(extract_slow_s, 3),
-                "batched_seconds": round(extract_fast_s, 3),
+                "oracle_seconds": round(extract_slow_s, 3),
+                "production_seconds": round(extract_fast_s, 3),
                 "speedup": round(extract_speedup, 2),
             },
         },
-        "extract_seconds_by_block_size": block_sizes,
         "runner_fast_report": {
             "serial_seconds": round(serial_s, 3),
             "parallel_cold_cache_seconds": round(cold_s, 3),

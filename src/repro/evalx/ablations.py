@@ -37,7 +37,6 @@ from repro.core.config import (
     CoReDAConfig,
     PlanningConfig,
     RadioConfig,
-    SensingConfig,
 )
 from repro.core.metrics import mean
 from repro.evalx.extract_precision import run_extract_precision
@@ -160,12 +159,9 @@ def _radio_cell(
     loss: float,
     samples_per_step: int,
     seed: int,
-    sensing: Optional[SensingConfig] = None,
 ) -> float:
     """Mean extract precision at one frame-loss rate."""
     config = CoReDAConfig(radio=RadioConfig(loss_probability=loss))
-    if sensing is not None:
-        config = replace(config, sensing=sensing)
     result = run_extract_precision(
         [definition],
         samples_per_step=samples_per_step,
@@ -578,19 +574,12 @@ def plan_radio_sweep(
     loss_rates: Sequence[float] = (0.0, 0.05, 0.4, 0.8),
     samples_per_step: int = 25,
     seed: int = 0,
-    sensing: Optional[SensingConfig] = None,
 ) -> Section:
-    """Frame-loss probability vs mean end-to-end extract precision.
-
-    ``sensing`` overrides the sensing configuration (the sensing
-    benches use it to time the reference loop against the block fast
-    path); cell argument tuples are unchanged when it is ``None``.
-    """
+    """Frame-loss probability vs mean end-to-end extract precision."""
     cells = [
         Cell(
             _radio_cell,
-            (definition, loss, samples_per_step, seed)
-            + ((sensing,) if sensing is not None else ()),
+            (definition, loss, samples_per_step, seed),
             label=f"radio.{loss}",
         )
         for loss in loss_rates
@@ -615,12 +604,10 @@ def radio_sweep(
     loss_rates: Sequence[float] = (0.0, 0.05, 0.4, 0.8),
     samples_per_step: int = 25,
     seed: int = 0,
-    sensing: Optional[SensingConfig] = None,
 ) -> str:
     """Frame-loss probability vs mean end-to-end extract precision."""
     return run_section(
-        plan_radio_sweep(definition, loss_rates, samples_per_step, seed,
-                         sensing)
+        plan_radio_sweep(definition, loss_rates, samples_per_step, seed)
     )
 
 

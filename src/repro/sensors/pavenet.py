@@ -7,33 +7,31 @@ other ADLs" -- only the uid differs): a 10 Hz sampling loop feeds the
 as a ``usage`` frame carrying the node uid.  Downlink ``led`` frames
 blink the requested LED.
 
-Two firmware implementations coexist, selected by
-``SensingConfig.batch_samples``:
+The firmware samples in **blocks**: one kernel event per block of
+samples, drawn vectorised from the
+:class:`~repro.sensors.signals.SignalSource` and fed to the detector
+in one call, with usage reports scheduled at their exact per-sample
+timestamps.  An active tool is sampled in 10-sample (1 s) blocks; an
+idle one in blocks that double over consecutive idle blocks, up to
+60 s (*idle-horizon sampling*).  When the resident flips the signal
+regime mid-block, or the node is stopped, the node rolls the
+source/detector back to the block start, replays the committed
+prefix, and resumes from the first uncommitted timestamp -- so the
+event stream is byte-identical to a per-sample loop (see
+``docs/architecture.md``).
 
-* ``batch_samples=1`` (or a battery-powered node): the reference
-  per-sample loop -- one kernel event, one RNG read and one detector
-  step per sample.
-* ``batch_samples>1`` (the default): the **block fast path** -- one
-  kernel event per block of samples, drawn vectorised from the
-  :class:`~repro.sensors.signals.SignalSource` and fed to the detector
-  in one call, with usage reports scheduled at their exact per-sample
-  timestamps.  When the resident flips the signal regime mid-block,
-  the node rolls the source/detector back to the block start, replays
-  the committed prefix, and resumes sampling from the first
-  uncommitted timestamp -- so the event stream is byte-identical to
-  the reference loop (see ``docs/architecture.md``).
-
-Battery-powered nodes always use the reference loop: the battery
-drains per sample *interleaved* with transmit drains, an ordering a
+Battery-powered nodes run that per-sample loop: the battery drains
+per sample *interleaved* with transmit drains, an ordering a
 pre-drawn block cannot reproduce.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.adl import Tool
 from repro.core.config import SensingConfig
@@ -55,6 +53,16 @@ from repro.sim.process import Process, Timeout
 from repro.sim.tracing import TraceRecorder
 
 __all__ = ["Led", "PavenetNode"]
+
+#: Samples per block while the tool is handled (1 s at 10 Hz), and the
+#: first idle block's length.  Pure speed constants, like
+#: :data:`repro.sim.kernel._BUCKET_WIDTH`: any block lengths replay the
+#: same event stream.
+_BLOCK_SAMPLES = 10
+#: Cap on the idle block length (60 s at 10 Hz).  Idle blocks double
+#: up to it, so a tail discarded by a regime change is never longer
+#: than the idle time that preceded it.
+_MAX_IDLE_SAMPLES = 600
 
 
 @dataclass
@@ -147,11 +155,16 @@ class PavenetNode:
         #: a ThresholdController self-calibrates against the noise
         #: floor while the node runs.
         self.agc = agc
-        # Block fast path state (see module docstring).
+        # Block sampler state (see module docstring).
         self._hz = config.sampling_hz
         self._period = 1.0 / config.sampling_hz
-        self._batch = config.batch_samples
+        self._idle_samples = _BLOCK_SAMPLES
         self._block_running = False
+        #: True from start() until the first block is drawn, and
+        #: ``_block_booted`` for that first block: its event was
+        #: scheduled where a per-sample loop schedules its first read.
+        self._booting = False
+        self._block_booted = False
         self._block_event: Optional[Event] = None
         self._block_t0: Optional[float] = None
         self._block_n = 0
@@ -171,30 +184,37 @@ class PavenetNode:
         """Boot the firmware: begin the 10 Hz sampling loop."""
         if self.running:
             return
-        if self.battery is not None or self._batch <= 1:
-            self._loop = Process(
-                self.sim, self._firmware_loop(), name=f"node{self.uid}.firmware"
-            )
+        if self.battery is not None:
+            self._start_per_sample()
             return
+        self._idle_samples = _BLOCK_SAMPLES
         self._block_running = True
+        self._booting = True
         self._block_event = self.sim.schedule(
             0.0, self._process_block, reusable=True
         )
 
+    def _start_per_sample(self) -> None:
+        self._loop = Process(
+            self.sim, self._firmware_loop(), name=f"node{self.uid}.firmware"
+        )
+
     def stop(self) -> None:
-        """Power the node down (sampling stops, radio stays attached)."""
+        """Power the node down (sampling stops, radio stays attached).
+
+        The pre-drawn tail of the current block is rolled back, so the
+        source and detector are left exactly where a per-sample loop
+        stopped at this instant would leave them.
+        """
         if self._loop is not None:
             self._loop.interrupt()
             self._loop = None
         if self._block_running:
             self._block_running = False
+            self._rollback()
             if self._block_event is not None:
                 self._block_event.cancel()
                 self._block_event = None
-            now = self.sim.now
-            for time, event in self._block_pending:
-                if time > now:
-                    event.cancel()
             self._block_pending = []
             self._block_t0 = None
 
@@ -205,7 +225,7 @@ class PavenetNode:
             return True
         return self._loop is not None and not self._loop.done
 
-    # ----- reference per-sample firmware -------------------------------
+    # ----- per-sample firmware (battery-powered nodes) -----------------
 
     def _firmware_loop(self):
         period = self._period
@@ -225,51 +245,38 @@ class PavenetNode:
                 self._report_usage()
             yield Timeout(period)
 
-    # ----- block fast path ---------------------------------------------
+    # ----- block sampler -----------------------------------------------
 
-    def _block_sample_times(self, start: float, n: int) -> List[float]:
+    def _block_sample_times(self, start: float, n: int) -> np.ndarray:
         """Sample timestamps of a block, accumulated by repeated float
-        addition exactly like the reference loop's ``Timeout(period)``
-        clock.  Deterministic, so the list is rebuilt on demand (hits
-        and invalidations are rare) instead of per block.
+        addition exactly like a per-sample loop's ``Timeout(period)``
+        clock: ``np.cumsum`` adds sequentially, so it reproduces the
+        same bits.  Deterministic, so a rollback rebuilds them instead
+        of keeping them per block.
         """
-        times: List[float] = []
-        append = times.append
-        t = start
-        period = self._period
-        for _ in range(n):
-            append(t)
-            t += period
-        return times
-
-    def _truncated_length(self, start: float) -> int:
-        """The next block's sample count, truncated at a known regime
-        expiry so a block never spans one.
-
-        A count of 0 never occurs: when ``start`` is already past the
-        expiry the full block runs (the source expires itself at the
-        first read, so the regime is constant anyway).
-        """
-        n = self._batch
-        source = self.source
-        if source.active:
-            until = source.active_until
-            if until != float("inf"):
-                count = 0
-                t = start
-                period = self._period
-                while count < n and t < until:
-                    count += 1
-                    t += period
-                if 0 < count < n:
-                    return count
-        return n
+        steps = np.full(n, self._period)
+        steps[0] = start
+        return np.cumsum(steps)
 
     def _process_block(self) -> None:
         sim = self.sim
         source = self.source
         t0 = sim.now
-        n = self._truncated_length(t0)
+        until = source.active_until
+        if source.active and t0 < until:
+            n = _BLOCK_SAMPLES
+            times = self._block_sample_times(t0, n)
+            if until != float("inf"):
+                # Truncate at the known expiry so a block never spans
+                # it; at least the first sample precedes it.
+                n = int(times.searchsorted(until))
+                times = times[:n]
+        else:
+            # Idle (or expiring at the first read): the horizon doubles
+            # until a regime change or restart resets it.
+            n = self._idle_samples
+            self._idle_samples = min(2 * n, _MAX_IDLE_SAMPLES)
+            times = self._block_sample_times(t0, n)
         # Snapshot everything a mid-block regime change would need to
         # roll back: RNG + regime, detector window, AGC noise tracker.
         self._block_source_state = source.capture()
@@ -282,33 +289,23 @@ class PavenetNode:
             hits = self.detector.observe_block(values)
         else:
             hits = self._detect(values)
-        period = self._period
         self._block_pending = pending = []
-        if hits:
-            times = self._block_sample_times(t0, n)
-            for index in hits:
-                if index == 0:
-                    self._report_usage()
-                else:
-                    time = times[index]
-                    pending.append(
-                        (
-                            time,
-                            sim.schedule_at(
-                                time, self._report_usage, reusable=True
-                            ),
-                        )
-                    )
-            last = times[-1]
-        else:
-            last = t0
-            for _ in range(n - 1):
-                last += period
+        for index in hits:
+            if index == 0:
+                self._report_usage()
+            else:
+                time = float(times[index])
+                pending.append(
+                    (time, sim.schedule_at(time, self._report_usage, reusable=True))
+                )
+        last = float(times[-1])
         self._block_t0 = t0
         self._block_n = n
         self._block_last = last
+        self._block_booted = self._booting
+        self._booting = False
         self._block_event = sim.schedule_at(
-            last + period, self._process_block, reusable=True
+            last + self._period, self._process_block, reusable=True
         )
 
     def _detect(self, values) -> Sequence[int]:
@@ -326,30 +323,65 @@ class PavenetNode:
         return hits
 
     def _on_regime_change(self) -> None:
-        """Invalidate the pre-drawn block tail after ``begin_use``/``end_use``.
+        """Resynchronise after ``begin_use``/``end_use``.
 
-        Samples at ``t <= now`` are *committed* -- the reference loop
-        would have read them before the regime change, and their draws
-        and any usage reports already happened with identical bytes.
-        Samples at ``t > now`` were drawn from the wrong regime: roll
-        the source and detector back to the block start, replay the
-        committed prefix (restoring the exact RNG position and window
-        state), re-apply the new regime, and resume block sampling at
-        the first uncommitted timestamp.
+        The pre-drawn tail was drawn from the wrong regime: roll it
+        back, re-apply the new regime on top of the committed prefix,
+        and resume block sampling at the first uncommitted timestamp
+        with the idle horizon reset.
+        """
+        if not self._block_running:
+            return
+        self._idle_samples = _BLOCK_SAMPLES
+        source = self.source
+        regime = (source.active, source.active_until)
+        resume = self._rollback(regime)
+        if resume is not None:
+            self._block_event = self.sim.schedule_at(
+                resume, self._process_block, reusable=True
+            )
+
+    def _rollback(
+        self, regime: Optional[Tuple[bool, float]] = None
+    ) -> Optional[float]:
+        """Undo the current block's samples a per-sample loop has not
+        read yet.
+
+        Samples at ``t < now`` are *committed* -- a per-sample loop
+        would have read them already, and their draws and any usage
+        reports happened with identical bytes.  A sample at exactly
+        ``now`` is committed only between runs: a per-sample loop
+        schedules each read one period ahead, so an event firing at a
+        sample's instant precedes that read unless it was scheduled
+        less than a period earlier (the first read after ``start()``
+        is scheduled by the call itself, so it keeps its order).
+
+        Uncommitted samples must not have happened: cancel their usage
+        reports and the next block event, roll the source and detector
+        back to the block start, and replay the committed prefix
+        (restoring the exact RNG position and window state).
+        ``regime``, if given, is re-applied on top.  Returns the first
+        uncommitted sample time, or None when the whole block is
+        committed.
         """
         t0 = self._block_t0
-        if not self._block_running or t0 is None:
-            return
+        if t0 is None:
+            return None
         sim = self.sim
         now = sim.now
-        if now >= self._block_last:
-            return  # every sample in this block is already committed
+        if now > self._block_last:
+            return None
         times = self._block_sample_times(t0, self._block_n)
-        j = bisect_right(times, now)
-        # Usage reports drawn from the stale tail must not fire.
+        if sim.dispatching:
+            j = max(int(times.searchsorted(now)), int(self._block_booted))
+        else:
+            j = int(times.searchsorted(now, side="right"))
+        if j == len(times):
+            return None
+        resume = float(times[j])
         kept: List[Tuple[float, Event]] = []
         for time, event in self._block_pending:
-            if time > now:
+            if time >= resume:
                 event.cancel()
             else:
                 kept.append((time, event))
@@ -358,8 +390,6 @@ class PavenetNode:
             self._block_event.cancel()
             self._block_event = None
         source = self.source
-        post_active = source.active
-        post_until = source.active_until
         source.restore(self._block_source_state)
         self.detector.restore(self._block_detector_state)
         if self.agc is not None and self._block_agc_state is not None:
@@ -369,11 +399,10 @@ class PavenetNode:
             # Replay for state only: the committed hits already fired
             # (or sit in ``kept``), so the indices are discarded.
             self._detect(source.read_block_at(times[:j]))
-        source.set_regime(post_active, post_until)
+        if regime is not None:
+            source.set_regime(*regime)
         self._block_t0 = None
-        self._block_event = sim.schedule_at(
-            times[j], self._process_block, reusable=True
-        )
+        return resume
 
     # ----- shared machinery --------------------------------------------
 

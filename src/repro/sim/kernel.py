@@ -359,11 +359,22 @@ class Simulator:
         self._seq = itertools.count()
         self._event_count = 0
         self._free: List[Event] = self._queue.free
+        self._dispatching = False
 
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
+
+    @property
+    def dispatching(self) -> bool:
+        """True while an event's callback runs, False between runs.
+
+        Lets a caller tell "an event fired at ``now``" (later events
+        at the same instant are still pending) from "a run stopped at
+        ``now``" (every event up to ``now`` has fired).
+        """
+        return self._dispatching
 
     @property
     def events_processed(self) -> int:
@@ -447,7 +458,11 @@ class Simulator:
         self._event_count += 1
         if event.reusable:
             _release(self._free, event)
-        callback()
+        self._dispatching = True
+        try:
+            callback()
+        finally:
+            self._dispatching = False
         return True
 
     def run(self, max_events: Optional[int] = None) -> int:
@@ -482,17 +497,21 @@ class Simulator:
         pop_due = queue.pop_due
         free = self._free
         fired = 0
-        while True:
-            event = pop_due(horizon)
-            if event is None:
-                break
-            callback = event.callback
-            self._now = event.time
-            self._event_count += 1
-            if event.reusable:
-                _release(free, event)
-            callback()
-            fired += 1
+        self._dispatching = True
+        try:
+            while True:
+                event = pop_due(horizon)
+                if event is None:
+                    break
+                callback = event.callback
+                self._now = event.time
+                self._event_count += 1
+                if event.reusable:
+                    _release(free, event)
+                callback()
+                fired += 1
+        finally:
+            self._dispatching = False
         self._now = float(horizon)
         return fired
 

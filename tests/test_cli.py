@@ -209,6 +209,12 @@ BAD_INPUTS = {
         )],
         "'q_backend'",
     ),
+    "config-retired-sensing-key": (
+        lambda tmp: ["train", "tea-making", "--config", _write(
+            tmp / "sensing.json", '{"sensing": {"batch_samples": 10}}',
+        )],
+        "'batch_samples'",
+    ),
 }
 
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from oracles.kernel import HeapQueue
 from oracles.qtable import QTable
 from oracles.traces import EligibilityTraces
+from test_sensing_fast_path import run_script
 
 from repro.core.config import CoReDAConfig
 from repro.fleet import FleetSpec, simulate_home, simulate_shard
@@ -27,6 +28,7 @@ from repro.planning.store import PolicyCache
 from repro.recognition import BatchedHMM, DiscreteHMM
 from repro.rl.dense import DenseQTable, DenseTraces
 from repro.rl.traces import TraceKind
+from repro.sensors.pavenet import _MAX_IDLE_SAMPLES, PavenetNode
 from repro.sim.kernel import Event, _CalendarQueue
 
 # ---------------------------------------------------------------------------
@@ -312,3 +314,79 @@ def test_simulate_shard_equals_simulate_home_map(shard_world, data):
         for home in shard
     ]
     assert [_fields(r) for r in batched] == [_fields(r) for r in per_home]
+
+
+# ---------------------------------------------------------------------------
+# Node firmware: the idle-horizon block sampler vs the per-sample loop
+# ---------------------------------------------------------------------------
+
+_PERIOD = 0.1
+
+
+def _grid(start: float, n: int):
+    """``n`` sample times from ``start``, by repeated float addition."""
+    times = []
+    t = start
+    for _ in range(n):
+        times.append(t)
+        t += _PERIOD
+    return times
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 1e5, allow_nan=False), st.integers(1, _MAX_IDLE_SAMPLES))
+def test_block_sample_times_equal_repeated_addition(start, n):
+    node = PavenetNode.__new__(PavenetNode)
+    node._period = _PERIOD
+    assert node._block_sample_times(start, n).tolist() == _grid(start, n)
+
+
+#: One script op: (action, samples since the previous op, offset,
+#: duration).  Offset 0.0 lands exactly on a sample timestamp of the
+#: running node's grid; 700 samples is an idle gap past the 60 s
+#: horizon cap.  An integer duration counts samples, so the use
+#: expires at (or within an ulp of) a sample timestamp.
+firmware_ops = st.lists(
+    st.tuples(
+        st.sampled_from(("begin", "begin_for", "end", "stop", "start")),
+        st.sampled_from((0, 1, 2, 3, 7, 10, 19, 45, 700)),
+        st.sampled_from((0.0, 0.0, 0.037, 0.0999)),
+        st.sampled_from((0.25, 2.3, 6.0, 3, 12)),
+    ),
+    max_size=10,
+)
+
+
+def _firmware_script(ops):
+    """``run_script`` ops, timed off the grid of the node's latest
+    start so exact sample timestamps stay exact, ending in an off-grid
+    stop() that rolls back the block sampler's pre-drawn tail."""
+    script = []
+    anchor, index, running = 0.0, 0, True
+    for action, gap, offset, duration in ops:
+        index += gap
+        grid = _grid(anchor, index + 13)
+        time = grid[index] + offset
+        kwargs = {}
+        if action == "begin_for":
+            action = "begin"
+            if isinstance(duration, int):
+                duration = grid[index + duration] - time
+            kwargs = {"duration": duration}
+        script.append((time, action, kwargs))
+        if action == "stop":
+            running = False
+        elif action == "start" and not running:
+            anchor, index, running = time, 0, True
+    end = (script[-1][0] if script else 0.0) + 7.0537
+    return script + [(end, "stop", {})], end + 1.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(firmware_ops, st.sampled_from((0.35, 0.7, 1.0)))
+def test_block_sampler_matches_per_sample_oracle(ops, burst_probability):
+    script, until = _firmware_script(ops)
+    world = {"source_seed": 4, "burst_probability": burst_probability}
+    production = run_script(False, script, until, **world)
+    oracle = run_script(True, script, until, **world)
+    assert production == oracle

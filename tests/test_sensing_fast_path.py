@@ -1,21 +1,20 @@
-"""Equivalence smoke tests: block fast path vs reference loop.
+"""Equivalence smoke tests: idle-horizon block sampler vs per-sample oracle.
 
-The block-sampling fast path (``SensingConfig.batch_samples > 1``)
-must be *byte-identical* to the per-sample reference loop -- same
-trace events at the same times, same frames, same EEPROM contents --
-for any resident behaviour, including regime changes that land in the
-middle of a pre-drawn block.  These tests replay identical worlds
-under both firmwares and compare the full observable streams.
+The node firmware's block sampler must be *byte-identical* to the
+per-sample loop of ``tests/oracles/firmware.py`` -- same trace events
+at the same times, same frames, same EEPROM contents -- for any
+resident behaviour, including regime changes that land in the middle
+of a pre-drawn block.  These tests replay identical worlds under both
+firmwares and compare the full observable streams.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles.firmware import per_sample_firmware
 
 from repro.core.adl import SensorType, Tool
 from repro.core.config import CoReDAConfig, RadioConfig, SensingConfig
-from repro.evalx.scenario import run_tea_scenario
+from repro.evalx.scenario import build_tea_scenario, run_tea_scenario
 from repro.sensors.pavenet import PavenetNode
 from repro.sensors.radio import BASE_STATION_UID, RadioMedium
 from repro.sensors.signals import SignalProfile, SignalSource
@@ -23,7 +22,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.tracing import TraceRecorder
 
 
-def build_node(batch_samples):
+def build_node(source_seed=1, burst_probability=0.7):
     """One complete node world with a deterministic seed."""
     sim = Simulator()
     trace = TraceRecorder()
@@ -31,14 +30,15 @@ def build_node(batch_samples):
         sim, RadioConfig(loss_probability=0.05), np.random.default_rng(0)
     )
     source = SignalSource(
-        SignalProfile(burst_probability=0.7), np.random.default_rng(1)
+        SignalProfile(burst_probability=burst_probability),
+        np.random.default_rng(source_seed),
     )
     node = PavenetNode(
         sim=sim,
         tool=Tool(7, "cup", SensorType.ACCELEROMETER),
         source=source,
         radio=radio,
-        config=SensingConfig(batch_samples=batch_samples),
+        config=SensingConfig(),
         trace=trace,
     )
     received = []
@@ -51,9 +51,16 @@ def build_node(batch_samples):
     return sim, node, source, trace, received
 
 
-def run_script(batch_samples, script):
-    """Run one node under ``script``: (time, action, kwargs) tuples."""
-    sim, node, source, trace, received = build_node(batch_samples)
+def run_script(oracle, script, until=20.0, **world):
+    """Run one node under ``script``: (time, action, kwargs) tuples.
+
+    ``oracle`` selects the per-sample firmware instead of the block
+    sampler; ``world`` goes to :func:`build_node`.
+    """
+    if oracle:
+        with per_sample_firmware():
+            return run_script(False, script, until, **world)
+    sim, node, source, trace, received = build_node(**world)
     node.start()
     for time, action, kwargs in script:
         if action == "begin":
@@ -64,20 +71,24 @@ def run_script(batch_samples, script):
             sim.schedule_at(time, source.end_use)
         elif action == "stop":
             sim.schedule_at(time, node.stop)
-    sim.run_until(20.0)
+        elif action == "start":
+            sim.schedule_at(time, node.start)
+    sim.run_until(until)
     return {
         "trace": trace.entries(),
         "received": received,
         "eeprom": node.eeprom.records(),
         "reports": node.usage_reports,
-        "seen": None,  # samples_seen intentionally excluded: the block
-        # sampler legitimately pre-draws ahead of the clock
+        # The block sampler pre-draws ahead of the clock, so these two
+        # match the oracle only once a final stop() has rolled it back.
+        "detector": node.detector.snapshot(),
+        "rng": source._rng.bit_generator.state,
     }
 
 
-def assert_streams_equal(script):
-    scalar = run_script(1, script)
-    batched = run_script(10, script)
+def assert_streams_equal(script, until=20.0, **world):
+    scalar = run_script(True, script, until, **world)
+    batched = run_script(False, script, until, **world)
     assert batched["trace"] == scalar["trace"]
     assert batched["received"] == scalar["received"]
     assert batched["eeprom"] == scalar["eeprom"]
@@ -129,24 +140,45 @@ class TestNodeEquivalence:
             [(0.0, "begin", {}), (3.14, "stop", {})]
         )
 
+    def test_restart_after_stop_mid_block(self):
+        # stop() lands inside a pre-drawn block: the tail must be
+        # rolled back, or the restarted node continues from the wrong
+        # RNG position and detector window.
+        script = [
+            (0.3, "begin", {"duration": 2.0}),
+            (2.45, "stop", {}),
+            (3.0, "start", {}),
+            (3.0, "begin", {"duration": 1.5}),
+        ]
+        for seed in range(40):
+            assert_streams_equal(
+                script, until=8.0, source_seed=seed, burst_probability=0.35
+            )
+
     def test_batch_sizes_beyond_default(self):
-        script = [(0.42, "begin", {"duration": 3.3}), (7.7, "begin", {}),
-                  (9.33, "end", {})]
-        scalar = run_script(1, script)
-        for batch in (2, 5, 25):
-            batched = run_script(batch, script)
-            assert batched["trace"] == scalar["trace"], f"batch={batch}"
-            assert batched["received"] == scalar["received"]
+        # Idle gaps longer than the 60 s horizon cap: the idle block
+        # grows 1 s -> 60 s, and each regime change cuts a long block
+        # short and resets it.
+        assert_streams_equal(
+            [
+                (0.42, "begin", {"duration": 3.3}),
+                (97.7, "begin", {}),
+                (99.33, "end", {}),
+                (173.05, "begin", {"duration": 2.0}),
+            ],
+            until=400.0,
+        )
 
 
 class TestScenarioEquivalence:
-    """The tier-1 gate from the issue: one full Figure 1 scenario,
-    batch_samples=1 vs 10, identical trace event lists."""
+    """One full Figure 1 scenario, per-sample oracle vs block sampler,
+    identical trace event lists."""
 
     @pytest.fixture(scope="class")
     def results(self):
-        scalar = run_tea_scenario(sensing=SensingConfig(batch_samples=1))
-        batched = run_tea_scenario(sensing=SensingConfig(batch_samples=10))
+        with per_sample_firmware():
+            scalar = run_tea_scenario()
+        batched = run_tea_scenario()
         return scalar, batched
 
     def test_identical_timelines(self, results):
@@ -166,11 +198,17 @@ class TestScenarioEquivalence:
         ):
             assert getattr(batched, field) == getattr(scalar, field), field
 
-    def test_default_config_uses_fast_path(self, results):
-        scalar, _ = results
-        default = run_tea_scenario()
-        assert SensingConfig().batch_samples > 1
-        assert default.timeline == scalar.timeline
+    def test_default_config_uses_fast_path(self):
+        # The production node samples in blocks: the same episode
+        # takes far fewer kernel events than the per-sample oracle.
+        def events():
+            system, resident = build_tea_scenario()
+            system.run_episode(resident, horizon=600.0)
+            return system.sim.events_processed
+
+        with per_sample_firmware():
+            scalar = events()
+        assert events() * 5 < scalar
 
 
 class TestExtractPrecisionEquivalence:
@@ -180,16 +218,15 @@ class TestExtractPrecisionEquivalence:
 
         definition = tea_making_definition()
 
-        def rows(batch):
-            config = replace(
-                CoReDAConfig(), sensing=SensingConfig(batch_samples=batch)
-            )
+        def rows():
             result = run_extract_precision(
-                [definition], samples_per_step=4, config=config, seed=0
+                [definition], samples_per_step=4, config=CoReDAConfig(), seed=0
             )
             return [
                 (row.step_name, row.detections, row.trials, row.precision)
                 for row in result.rows
             ]
 
-        assert rows(10) == rows(1)
+        with per_sample_firmware():
+            scalar = rows()
+        assert rows() == scalar

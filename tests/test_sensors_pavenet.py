@@ -8,10 +8,10 @@ from repro.core.config import RadioConfig, SensingConfig
 from repro.sensors.pavenet import Led, PavenetNode
 from repro.sensors.radio import BASE_STATION_UID, Frame, RadioMedium
 from repro.sensors.signals import SignalProfile, SignalSource
+from repro.sim.kernel import Simulator
 
 
-@pytest.fixture
-def setup(sim):
+def build_world(sim):
     radio = RadioMedium(
         sim, RadioConfig(loss_probability=0.0), np.random.default_rng(0)
     )
@@ -25,6 +25,11 @@ def setup(sim):
     received = []
     radio.attach(BASE_STATION_UID, received.append)
     return node, source, radio, received
+
+
+@pytest.fixture
+def setup(sim):
+    return build_world(sim)
 
 
 class TestFirmwareLoop:
@@ -68,15 +73,38 @@ class TestFirmwareLoop:
         assert received == []
         assert not node.running
 
-    def test_start_is_idempotent(self, sim, setup):
-        node, _, _, _ = setup
+    def test_start_is_idempotent(self):
+        # A second start() is a no-op: the run is indistinguishable
+        # from a single start() in an identical world, down to the
+        # samples drawn and the kernel events fired.
+        def run(starts):
+            sim = Simulator()
+            node, source, _, _ = build_world(sim)
+            for _ in range(starts):
+                node.start()
+            source.begin_use(0.35, duration=2.0)
+            sim.run_until(90.0)
+            return node.detector.samples_seen, sim.events_processed
+
+        assert run(2) == run(1)
+
+    def test_idle_horizon_doubles_to_cap_and_resets(self):
+        sim = Simulator()
+        node, source, _, _ = build_world(sim)
         node.start()
-        node.start()
-        sim.run_until(1.0)
-        # One firmware: at most two blocks pre-drawn by t=1.0 (the
-        # block sampler draws eagerly, so the counter runs one block
-        # ahead of the clock).  A duplicate firmware would double it.
-        assert node.detector.samples_seen <= 21
+        sim.run_until(200.0)
+        # Idle blocks of 1, 2, 4, 8, 16 and 32 s, then 60 s ones:
+        # block events at t = 0, 1, 3, 7, 15, 31, 63, 123 and 183,
+        # the last drawing up to t = 243.
+        assert sim.events_processed == 9
+        assert node.detector.samples_seen == 2430
+        # A notification rolls back past t = 200 and restarts the
+        # horizon at 1 s from the next sample: the same 9 events again.
+        source.end_use()
+        assert node.detector.samples_seen == 2001
+        sim.run_until(400.0)
+        assert sim.events_processed == 18
+        assert node.detector.samples_seen == 2001 + 2430
 
 
 class TestLedCommands:

@@ -126,6 +126,26 @@ class TestRunUntil:
         sim.run_until(6.0)
         assert fired == [5]
 
+    def test_dispatching_only_inside_callbacks(self, sim):
+        seen = []
+        sim.schedule(1.0, lambda: seen.append(sim.dispatching))
+        sim.schedule(2.0, lambda: seen.append(sim.dispatching))
+        assert not sim.dispatching
+        sim.run_until(1.5)
+        assert not sim.dispatching
+        sim.step()
+        assert not sim.dispatching
+        assert seen == [True, True]
+
+    def test_dispatching_cleared_when_a_callback_raises(self, sim):
+        def boom():
+            raise RuntimeError("boom")
+
+        sim.schedule(1.0, boom)
+        with pytest.raises(RuntimeError):
+            sim.run_until(2.0)
+        assert not sim.dispatching
+
 
 class TestRunGuards:
     def test_max_events_guard(self, sim):
