@@ -453,6 +453,81 @@ class DenseQTable:
         self._array = None
         self.version += 1
 
+    def transition_record(
+        self,
+        state: State,
+        action: Action,
+        reward: float,
+        next_state: State,
+        next_actions: Sequence[Action],
+        done: bool,
+    ) -> list:
+        """An interned transition for :meth:`q_learning_updates`.
+
+        The record is a mutable list ``[state_id, action_id, reward,
+        next_state_id, next_view, done, gather, offset, grow_count]``.
+        Its first two fields are the interned (state, action) pair, so
+        a model can key on them; the last three memoise the
+        stride-dependent gather and offset and are revalidated against
+        the table's growth on every use.  Raises ``ValueError`` for a
+        non-terminal transition into a state with no actions.
+        """
+        sid = self._state_ids.get(state)
+        if sid is None:
+            sid = self.index.state_id(state)
+        aid = self._action_ids.get(action)
+        if aid is None:
+            aid = self.index.action_id(action)
+        next_sid = self._state_ids.get(next_state)
+        if next_sid is None:
+            next_sid = self.index.state_id(next_state)
+        view = self._view(next_actions)
+        if not done and not view.ids_list:
+            raise ValueError(f"no actions available in state {next_state!r}")
+        return [sid, aid, reward, next_sid, view, done, None, 0, -1]
+
+    def q_learning_updates(
+        self, records: Sequence[list], alpha: float, discount: float
+    ) -> float:
+        """One-step Q-learning over ``records``, in order.
+
+        Each record (from :meth:`transition_record`) applies ``Q(s,a)
+        += α(r + γ max Q(s',·) − Q(s,a))``, with target ``r`` when
+        terminal: max over the given-order values, one subtract and
+        one multiply-add, exactly as :meth:`max_value`, :meth:`value`
+        and :meth:`add` compute it.  Returns the last TD error.
+
+        Dyna-Q's real step and its planning sweep both run here.  It
+        is the one fused update loop in the RL stack: with each
+        planning update routed through the per-pair methods above,
+        Dyna-Q training ran about 1.5x slower (12 tea-making trainings
+        of 120 episodes and 10 planning steps, on a 2-core Xeon).
+        """
+        self._ensure_capacity()
+        if self._frozen:
+            self._thaw()
+        flat = self._flat
+        written = self._written
+        cols = self._cols
+        grows = self._grow_count
+        delta = 0.0
+        for r in records:
+            if r[8] != grows:
+                r[6] = None if r[5] else _make_gather(
+                    [r[3] * cols + a for a in r[4].ids_list]
+                )
+                r[7] = r[0] * cols + r[1]
+                r[8] = grows
+            g = r[6]
+            target = r[2] if g is None else r[2] + discount * max(g(flat))
+            off = r[7]
+            delta = target - flat[off]
+            flat[off] = flat[off] + alpha * delta
+            written[off] = 1
+        self._array = None
+        self.version += 1
+        return delta
+
     def best_action(self, state: State, actions: Sequence[Action]) -> Action:
         """Argmax over ``actions``; first maximum in repr order wins.
 
@@ -849,36 +924,30 @@ class DenseTraces:
             ]
         )
 
-    def apply_update(self, q, coef: float) -> None:
+    def apply_update(self, q: DenseQTable, coef: float) -> None:
         """``Q[pair] += coef * e[pair]`` for every active pair.
 
-        Straight into the flat buffer when ``q`` is a
-        :class:`DenseQTable` on the same index; a plain loop through
-        ``q.add`` otherwise.  Elementwise multiply-then-add per
-        independent pair, in insertion (first-visit) order.
+        Straight into the flat buffer of ``q``, which must share this
+        index.  Elementwise multiply-then-add per independent pair, in
+        insertion (first-visit) order.
         """
+        if q.index is not self.index:
+            raise ValueError("traces and table must share one index")
         pairs = self._pairs
         if not pairs:
             return
-        e = self._e
-        if type(q) is DenseQTable and q.index is self.index:
-            q._ensure_capacity()
-            if q._frozen:
-                q._thaw()
-            flat = q._flat
-            written = q._written
-            cols = q._cols
-            for i, (sid, aid) in enumerate(pairs):
-                off = sid * cols + aid
-                flat[off] = flat[off] + coef * e[i]
-                written[off] = 1
-            q._array = None
-            q.version += 1
-            return
-        states = self.index.states
-        actions = self.index.actions
-        for i, (sid, aid) in enumerate(pairs):
-            q.add(states[sid], actions[aid], coef * e[i])
+        q._ensure_capacity()
+        if q._frozen:
+            q._thaw()
+        flat = q._flat
+        written = q._written
+        cols = q._cols
+        for (sid, aid), ev in zip(pairs, self._e):
+            off = sid * cols + aid
+            flat[off] = flat[off] + coef * ev
+            written[off] = 1
+        q._array = None
+        q.version += 1
 
     def __len__(self) -> int:
         return len(self._pairs)

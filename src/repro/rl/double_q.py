@@ -13,13 +13,13 @@ demonstrating the bias on the classic two-state counterexample.
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Sequence, Tuple
+from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
-from repro.rl.dense import DenseQTable, StateActionIndex
-from repro.rl.policies import EpsilonGreedyPolicy, Policy
-from repro.rl.schedules import ConstantSchedule, Schedule
+from repro.rl.dense import DenseQTable
+from repro.rl.learner import TabularLearner
+from repro.rl.policies import Policy
 
 __all__ = ["DoubleQLearner"]
 
@@ -27,7 +27,7 @@ State = Hashable
 Action = Hashable
 
 
-class DoubleQLearner:
+class DoubleQLearner(TabularLearner):
     """Tabular Double Q-learning over two cross-evaluating tables."""
 
     def __init__(
@@ -37,47 +37,13 @@ class DoubleQLearner:
         policy: Optional[Policy] = None,
         initial_q: float = 0.0,
     ) -> None:
-        if not 0.0 <= discount < 1.0:
-            raise ValueError("discount must be in [0, 1)")
-        if isinstance(learning_rate, Schedule):
-            self.learning_rate_schedule: Schedule = learning_rate
-        else:
-            self.learning_rate_schedule = ConstantSchedule(float(learning_rate))
-        self.discount = float(discount)
-        self.policy: Policy = policy if policy is not None else EpsilonGreedyPolicy(0.2)
+        super().__init__(learning_rate, discount, policy, initial_q)
         # Both tables share one index so states, actions and cached
         # action views are interned exactly once.
-        index = StateActionIndex()
-        self.q_a = DenseQTable(initial_q, index=index)
-        self.q_b = DenseQTable(initial_q, index=index)
+        self.q_a = self.q
+        self.q_b = DenseQTable(initial_q, index=self.q_a.index)
         # The behaviour-facing combined table (mean of both).
         self.q = _MeanQView(self.q_a, self.q_b)
-        self.updates = 0
-        self.episodes = 0
-
-    def begin_episode(self) -> None:
-        """Episode boundary (interface symmetry with the other learners)."""
-        self.episodes += 1
-
-    def select_action(
-        self,
-        state: State,
-        actions: Sequence[Action],
-        rng: np.random.Generator,
-        step: int = 0,
-    ) -> Tuple[Action, bool]:
-        """Behaviour action from the combined value view."""
-        return self.policy.select(self.q, state, actions, rng, step=step)
-
-    def greedy_action(self, state: State, actions: Sequence[Action]) -> Action:
-        """Greedy action under the combined view."""
-        return self.q.best_action(state, actions)
-
-    def greedy_actions(
-        self, states: Sequence[State], actions: Sequence[Action]
-    ) -> Sequence[Action]:
-        """Greedy action per state under the combined view."""
-        return self.q.best_actions(states, actions)
 
     def observe(
         self,
@@ -102,14 +68,13 @@ class DoubleQLearner:
         update_table, eval_table = (
             (self.q_a, self.q_b) if flip_a else (self.q_b, self.q_a)
         )
-        if done or not next_actions:
+        if done:
             target = reward
         else:
             best = update_table.best_action(next_state, next_actions)
             target = reward + self.discount * eval_table.value(next_state, best)
         delta = target - update_table.value(state, action)
-        alpha = self.learning_rate_schedule.value(self.updates)
-        update_table.add(state, action, alpha * delta)
+        update_table.add(state, action, self._alpha() * delta)
         self.updates += 1
         return delta
 

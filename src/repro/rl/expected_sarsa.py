@@ -12,13 +12,10 @@ with Q-learning, which the tests pin down.
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence, Tuple
+from typing import Hashable, Sequence
 
-import numpy as np
-
-from repro.rl.dense import DenseQTable, _make_gather
+from repro.rl.learner import TabularLearner
 from repro.rl.policies import EpsilonGreedyPolicy
-from repro.rl.schedules import ConstantSchedule, Schedule
 
 __all__ = ["ExpectedSarsaLearner"]
 
@@ -26,7 +23,7 @@ State = Hashable
 Action = Hashable
 
 
-class ExpectedSarsaLearner:
+class ExpectedSarsaLearner(TabularLearner):
     """Tabular Expected SARSA with an ε-greedy behaviour policy."""
 
     def __init__(
@@ -36,58 +33,17 @@ class ExpectedSarsaLearner:
         epsilon: float = 0.2,
         initial_q: float = 0.0,
     ) -> None:
-        if not 0.0 <= discount < 1.0:
-            raise ValueError("discount must be in [0, 1)")
-        if not 0.0 <= epsilon <= 1.0:
-            raise ValueError("epsilon must be in [0, 1]")
-        if isinstance(learning_rate, Schedule):
-            self.learning_rate_schedule: Schedule = learning_rate
-        else:
-            self.learning_rate_schedule = ConstantSchedule(float(learning_rate))
-        # Constant learning rates (the common case) skip the schedule
-        # call on every transition.
-        self._alpha_const = (
-            self.learning_rate_schedule.constant
-            if type(self.learning_rate_schedule) is ConstantSchedule
-            else None
-        )
-        self.discount = float(discount)
-        self.epsilon = float(epsilon)
+        super().__init__(learning_rate, discount, None, initial_q)
+        # The policy validates ε (must lie in [0, 1]).
         self.policy = EpsilonGreedyPolicy(epsilon)
-        self.q = DenseQTable(initial_q)
-        self.updates = 0
-        self.episodes = 0
-
-    def begin_episode(self) -> None:
-        """Episode boundary (interface symmetry)."""
-        self.episodes += 1
-
-    def select_action(
-        self,
-        state: State,
-        actions: Sequence[Action],
-        rng: np.random.Generator,
-        step: int = 0,
-    ) -> Tuple[Action, bool]:
-        """ε-greedy behaviour action."""
-        return self.policy.select(self.q, state, actions, rng, step=step)
-
-    def greedy_action(self, state: State, actions: Sequence[Action]) -> Action:
-        """Current greedy action."""
-        return self.q.best_action(state, actions)
-
-    def greedy_actions(
-        self, states: Sequence[State], actions: Sequence[Action]
-    ) -> Sequence[Action]:
-        """Greedy action per state (one batched argmax)."""
-        return self.q.best_actions(states, actions)
+        self.epsilon = float(epsilon)
 
     def expected_value(self, state: State, actions: Sequence[Action]) -> float:
         """E_π[Q(state, ·)] under the ε-greedy policy.
 
         The mean is taken with Python's left-to-right ``sum`` --
-        NumPy's pairwise summation rounds differently, and the fused
-        update in :meth:`observe` must agree with this bit for bit.
+        NumPy's pairwise summation rounds differently from the
+        dict-backed reference the training digests were recorded on.
         """
         if not actions:
             raise ValueError(f"no actions available in state {state!r}")
@@ -107,68 +63,15 @@ class ExpectedSarsaLearner:
         exploratory: bool = False,
     ) -> float:
         """One Expected SARSA update; returns the TD error."""
-        alpha = self._alpha_const
-        if alpha is None:
-            alpha = self.learning_rate_schedule.value(self.updates)
-        # Fused against the dense flat buffer (see
-        # TDLambdaQLearner.observe).  The expectation runs over the
-        # given-order gather -- the same value sequence
-        # q.action_values returns -- with Python's left-to-right
-        # max/sum, so it equals :meth:`expected_value` bit for bit.
-        q = self.q
-        index = q.index
-        sid = q._state_ids.get(state)
-        if sid is None:
-            sid = index.state_id(state)
-        aid = q._action_ids.get(action)
-        if aid is None:
-            aid = index.action_id(action)
-        view = None
-        next_sid = -1
-        if not done and next_actions:
-            next_sid = q._state_ids.get(next_state)
-            if next_sid is None:
-                next_sid = index.state_id(next_state)
-            view = q._view(
-                next_actions
-                if type(next_actions) is tuple
-                else tuple(next_actions)
-            )
-        if (
-            sid >= q._rows
-            or next_sid >= q._rows
-            or aid >= q._cols
-            or (view is not None and view.max_id >= q._cols)
-        ):
-            q._grow()
-        if q._frozen:
-            q._thaw()
-        cols = q._cols
-        flat = q._flat
-        if view is None:
+        alpha = self._alpha()
+        if done:
             target = reward
         else:
-            if view is q._g0_view:
-                g = q._g0.get(next_sid)
-            else:
-                q._g0_view = view
-                q._g0 = {}
-                g = None
-            if g is None:
-                base = next_sid * cols
-                g = _make_gather([base + a for a in view.ids_list])
-                q._g0[next_sid] = g
-            values = g(flat)
-            greedy = max(values)
-            uniform = sum(values) / len(values)
-            expected = (1.0 - self.epsilon) * greedy + self.epsilon * uniform
-            target = reward + self.discount * expected
-        off = sid * cols + aid
-        delta = target - flat[off]
-        flat[off] = flat[off] + alpha * delta
-        q._written[off] = 1
-        q._array = None
-        q.version += 1
+            target = reward + self.discount * self.expected_value(
+                next_state, next_actions
+            )
+        delta = target - self.q.value(state, action)
+        self.q.add(state, action, alpha * delta)
         self.updates += 1
         return delta
 

@@ -13,14 +13,9 @@ Update, per (s, a, r, s', a'):
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Sequence, Tuple
+from typing import Hashable, Optional
 
-import numpy as np
-
-from repro.rl.dense import DenseQTable, DenseTraces
-from repro.rl.policies import EpsilonGreedyPolicy, Policy
-from repro.rl.schedules import ConstantSchedule, Schedule
-from repro.rl.traces import TraceKind
+from repro.rl.learner import TraceLearner
 
 __all__ = ["SarsaLambdaLearner"]
 
@@ -28,69 +23,8 @@ State = Hashable
 Action = Hashable
 
 
-class SarsaLambdaLearner:
+class SarsaLambdaLearner(TraceLearner):
     """Tabular SARSA(λ) with replacing or accumulating traces."""
-
-    def __init__(
-        self,
-        learning_rate=0.2,
-        discount: float = 0.9,
-        trace_decay: float = 0.7,
-        policy: Optional[Policy] = None,
-        trace_kind: TraceKind = TraceKind.REPLACING,
-        initial_q: float = 0.0,
-    ) -> None:
-        if not 0.0 <= discount < 1.0:
-            raise ValueError("discount must be in [0, 1)")
-        if not 0.0 <= trace_decay <= 1.0:
-            raise ValueError("trace_decay must be in [0, 1]")
-        if isinstance(learning_rate, Schedule):
-            self.learning_rate_schedule: Schedule = learning_rate
-        else:
-            self.learning_rate_schedule = ConstantSchedule(float(learning_rate))
-        # Constant learning rates (the common case) skip the schedule
-        # call on every transition.
-        self._alpha_const = (
-            self.learning_rate_schedule.constant
-            if type(self.learning_rate_schedule) is ConstantSchedule
-            else None
-        )
-        self.discount = float(discount)
-        self.trace_decay = float(trace_decay)
-        # γλ, computed once -- the per-transition trace decay factor.
-        self._glambda = self.discount * self.trace_decay
-        self.policy: Policy = policy if policy is not None else EpsilonGreedyPolicy(0.2)
-        self.q = DenseQTable(initial_q)
-        # The fused update requires the table and traces to share one
-        # index so interned ids mean the same thing in both.
-        self.traces = DenseTraces(index=self.q.index, kind=trace_kind)
-        self.updates = 0
-        self.episodes = 0
-
-    def begin_episode(self) -> None:
-        """Reset traces at an episode boundary."""
-        self.traces.reset()
-        self.episodes += 1
-
-    def select_action(
-        self,
-        state: State,
-        actions: Sequence[Action],
-        rng: np.random.Generator,
-        step: int = 0,
-    ) -> Tuple[Action, bool]:
-        """Behaviour-policy action for ``state``."""
-        return self.policy.select(self.q, state, actions, rng, step=step)
-
-    def greedy_action(self, state: State, actions: Sequence[Action]) -> Action:
-        """The current greedy action."""
-        return self.q.best_action(state, actions)
-
-    def greedy_actions(
-        self, states: Sequence[State], actions: Sequence[Action]
-    ) -> Sequence[Action]:
-        """Greedy action per state (one batched argmax)."""
-        return self.q.best_actions(states, actions)
 
     def observe(
         self,
@@ -106,79 +40,19 @@ class SarsaLambdaLearner:
         ``next_action`` is the action the behaviour policy *will* take
         in ``next_state`` (ignored when ``done``).
         """
-        alpha = self._alpha_const
-        if alpha is None:
-            alpha = self.learning_rate_schedule.value(self.updates)
         if not done and next_action is None:
             raise ValueError("next_action is required for non-terminal updates")
-        # The SARSA(λ) update fused against the dense flat buffer
-        # (see TDLambdaQLearner.observe): the bootstrap is a single
-        # offset read and the trace visit/apply/decay run inline
-        # over the active pairs in first-visit order -- exactly the
-        # arithmetic of visit, apply_update and decay in sequence.
+        alpha = self._alpha()
         q = self.q
-        traces = self.traces
-        index = q.index
-        sid = q._state_ids.get(state)
-        if sid is None:
-            sid = index.state_id(state)
-        aid = q._action_ids.get(action)
-        if aid is None:
-            aid = index.action_id(action)
-        next_sid = -1
-        next_aid = -1
-        if not done:
-            next_sid = q._state_ids.get(next_state)
-            if next_sid is None:
-                next_sid = index.state_id(next_state)
-            next_aid = q._action_ids.get(next_action)
-            if next_aid is None:
-                next_aid = index.action_id(next_action)
-        if (
-            sid >= q._rows
-            or next_sid >= q._rows
-            or aid >= q._cols
-            or next_aid >= q._cols
-        ):
-            q._grow()
-        if q._frozen:
-            q._thaw()
-        cols = q._cols
-        flat = q._flat
-        written = q._written
         if done:
             target = reward
         else:
-            target = reward + self.discount * flat[next_sid * cols + next_aid]
-        delta = target - flat[sid * cols + aid]
-        key = (sid, aid)
-        slots = traces._slots
-        pos = slots.get(key)
-        if pos is None:
-            slots[key] = len(traces._pairs)
-            traces._pairs.append(key)
-            traces._e.append(1.0)
-        elif traces.kind is TraceKind.ACCUMULATING:
-            traces._e[pos] += 1.0
-        else:
-            traces._e[pos] = 1.0
-        coef = alpha * delta
-        gl = self._glambda
-        new_e = []
-        push = new_e.append
-        for (psid, paid), ev in zip(traces._pairs, traces._e):
-            poff = psid * cols + paid
-            flat[poff] = flat[poff] + coef * ev
-            written[poff] = 1
-            push(ev * gl)
-        if gl == 0.0:
-            traces.reset()
-        else:
-            traces._e = new_e
-            if min(new_e) < traces.cutoff:
-                traces._compact()
-        q._array = None
-        q.version += 1
+            target = reward + self.discount * q.value(next_state, next_action)
+        delta = target - q.value(state, action)
+        traces = self.traces
+        traces.visit(state, action)
+        traces.apply_update(q, alpha * delta)
+        traces.decay(self._glambda)
         if done:
             self.traces.reset()
         self.updates += 1

@@ -23,14 +23,9 @@ episodes) and query the greedy action.
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Sequence, Tuple
+from typing import Hashable, Sequence
 
-import numpy as np
-
-from repro.rl.dense import DenseQTable, DenseTraces, _make_gather
-from repro.rl.policies import EpsilonGreedyPolicy, Policy
-from repro.rl.schedules import ConstantSchedule, Schedule
-from repro.rl.traces import TraceKind
+from repro.rl.learner import TraceLearner
 
 __all__ = ["TDLambdaQLearner"]
 
@@ -38,69 +33,8 @@ State = Hashable
 Action = Hashable
 
 
-class TDLambdaQLearner:
+class TDLambdaQLearner(TraceLearner):
     """Watkins Q(λ) over a tabular Q function."""
-
-    def __init__(
-        self,
-        learning_rate=0.2,
-        discount: float = 0.9,
-        trace_decay: float = 0.7,
-        policy: Optional[Policy] = None,
-        trace_kind: TraceKind = TraceKind.REPLACING,
-        initial_q: float = 0.0,
-    ) -> None:
-        if not 0.0 <= discount < 1.0:
-            raise ValueError("discount must be in [0, 1)")
-        if not 0.0 <= trace_decay <= 1.0:
-            raise ValueError("trace_decay must be in [0, 1]")
-        if isinstance(learning_rate, Schedule):
-            self.learning_rate_schedule: Schedule = learning_rate
-        else:
-            self.learning_rate_schedule = ConstantSchedule(float(learning_rate))
-        # Constant learning rates (the common case) skip the schedule
-        # call on every transition.
-        self._alpha_const = (
-            self.learning_rate_schedule.constant
-            if type(self.learning_rate_schedule) is ConstantSchedule
-            else None
-        )
-        self.discount = float(discount)
-        self.trace_decay = float(trace_decay)
-        # γλ, computed once -- the per-transition trace decay factor.
-        self._glambda = self.discount * self.trace_decay
-        self.policy: Policy = policy if policy is not None else EpsilonGreedyPolicy(0.2)
-        self.q = DenseQTable(initial_q)
-        # The fused update requires the table and traces to share one
-        # index so interned ids mean the same thing in both.
-        self.traces = DenseTraces(index=self.q.index, kind=trace_kind)
-        self.updates = 0
-        self.episodes = 0
-
-    def begin_episode(self) -> None:
-        """Reset traces at an episode boundary."""
-        self.traces.reset()
-        self.episodes += 1
-
-    def select_action(
-        self,
-        state: State,
-        actions: Sequence[Action],
-        rng: np.random.Generator,
-        step: int = 0,
-    ) -> Tuple[Action, bool]:
-        """Behaviour-policy action for ``state``; see Policy.select."""
-        return self.policy.select(self.q, state, actions, rng, step=step)
-
-    def greedy_action(self, state: State, actions: Sequence[Action]) -> Action:
-        """The current greedy (target-policy) action."""
-        return self.q.best_action(state, actions)
-
-    def greedy_actions(
-        self, states: Sequence[State], actions: Sequence[Action]
-    ) -> Sequence[Action]:
-        """Greedy action per state (one batched argmax)."""
-        return self.q.best_actions(states, actions)
 
     def observe(
         self,
@@ -118,105 +52,21 @@ class TDLambdaQLearner:
         the target (greedy) policy.  Such updates touch only the
         executed pair and reset the traces (strict Watkins cut).
         """
-        alpha = self._alpha_const
-        if alpha is None:
-            alpha = self.learning_rate_schedule.value(self.updates)
-        # The Watkins update fused against the dense flat buffer:
-        # each state/action interned once, one capacity guard, the
-        # trace visit/update applied inline.  The arithmetic (max
-        # over given-order Python floats, per-pair multiply-then-
-        # add in first-visit order) is exactly that of visit,
-        # apply_update and decay through the table API.
+        alpha = self._alpha()
         q = self.q
-        traces = self.traces
-        index = q.index
-        sid = q._state_ids.get(state)
-        if sid is None:
-            sid = index.state_id(state)
-        aid = q._action_ids.get(action)
-        if aid is None:
-            aid = index.action_id(action)
-        view = None
-        next_sid = -1
-        if not done:
-            next_sid = q._state_ids.get(next_state)
-            if next_sid is None:
-                next_sid = index.state_id(next_state)
-            view = q._view(
-                next_actions
-                if type(next_actions) is tuple
-                else tuple(next_actions)
-            )
-        if (
-            sid >= q._rows
-            or next_sid >= q._rows
-            or aid >= q._cols
-            or (view is not None and view.max_id >= q._cols)
-        ):
-            q._grow()
-        if q._frozen:
-            q._thaw()
-        cols = q._cols
-        flat = q._flat
-        written = q._written
         if done:
             target = reward
         else:
-            ids = view.ids_list
-            if not ids:
-                raise ValueError(
-                    f"no actions available in state {next_state!r}"
-                )
-            if view is q._g0_view:
-                g = q._g0.get(next_sid)
-            else:
-                q._g0_view = view
-                q._g0 = {}
-                g = None
-            if g is None:
-                base = next_sid * cols
-                g = _make_gather([base + a for a in ids])
-                q._g0[next_sid] = g
-            target = reward + self.discount * max(g(flat))
-        off = sid * cols + aid
-        delta = target - flat[off]
+            target = reward + self.discount * q.max_value(next_state, next_actions)
+        delta = target - q.value(state, action)
         if exploratory:
-            flat[off] = flat[off] + alpha * delta
-            written[off] = 1
-            traces.reset()
+            q.add(state, action, alpha * delta)
+            self.traces.reset()
         else:
-            key = (sid, aid)
-            slots = traces._slots
-            pos = slots.get(key)
-            if pos is None:
-                slots[key] = len(traces._pairs)
-                traces._pairs.append(key)
-                traces._e.append(1.0)
-            elif traces.kind is TraceKind.ACCUMULATING:
-                traces._e[pos] += 1.0
-            else:
-                traces._e[pos] = 1.0
-            # Apply and decay fused into one pass over the active
-            # pairs: Q[pair] += coef*e (same per-pair arithmetic
-            # and order as traces.apply_update) while building the
-            # decayed trace vector (same multiply as traces.decay).
-            coef = alpha * delta
-            gl = self._glambda
-            new_e = []
-            push = new_e.append
-            for (psid, paid), ev in zip(traces._pairs, traces._e):
-                poff = psid * cols + paid
-                flat[poff] = flat[poff] + coef * ev
-                written[poff] = 1
-                push(ev * gl)
-            if gl == 0.0:
-                traces.reset()
-            else:
-                traces._e = new_e
-                if min(new_e) < traces.cutoff:
-                    traces._compact()
-        q._array = None
-        q.version += 1
+            traces = self.traces
+            traces.visit(state, action)
+            traces.apply_update(q, alpha * delta)
+            traces.decay(self._glambda)
         if done:
             self.traces.reset()
         self.updates += 1

@@ -31,6 +31,7 @@ from repro.planning.store import (
     training_cache_key,
     training_from_artifact,
 )
+from repro.rl.dense import DenseTraces
 
 
 @pytest.fixture
@@ -101,6 +102,38 @@ class TestArtifactRoundTrip:
             artifact.predictor(other, converged=True)
 
 
+def _write_add(q, state, action, before):
+    q.add(state, action, 0.5)
+    return before + 0.5
+
+
+def _write_set(q, state, action, before):
+    q.set(state, action, 9.0)
+    return 9.0
+
+
+def _write_traces(q, state, action, before):
+    traces = DenseTraces(index=q.index)
+    traces.visit(state, action)
+    traces.apply_update(q, 0.5)
+    return before + 0.5 * 1.0
+
+
+def _write_q_learning(q, state, action, before):
+    record = q.transition_record(state, action, 1.0, state, (), True)
+    q.q_learning_updates((record,), 0.5, 0.9)
+    return before + 0.5 * (1.0 - before)
+
+
+#: Every element write path into a DenseQTable's buffers.
+_WRITES = {
+    "add": _write_add,
+    "set": _write_set,
+    "traces-apply-update": _write_traces,
+    "q-learning-updates": _write_q_learning,
+}
+
+
 class TestFrozenCopyOnWrite:
     def test_restored_table_is_frozen_and_readable(
         self, trained_cache, tea_adl
@@ -112,28 +145,21 @@ class TestFrozenCopyOnWrite:
         state, action = next(iter(q.known_pairs()))
         assert isinstance(q.value(state, action), float)
 
+    @pytest.mark.parametrize("write", sorted(_WRITES))
     def test_write_thaws_without_touching_the_artifact(
-        self, trained_cache, tea_adl
+        self, trained_cache, tea_adl, write
     ):
         cache, key, _ = trained_cache
         artifact = cache.get_artifact(key, tea_adl)
         q = artifact.qtable()
         state, action = next(iter(q.known_pairs()))
         before = q.value(state, action)
-        q.add(state, action, 0.5)
+        expected = _WRITES[write](q, state, action, before)
         assert not q._frozen
-        assert q.value(state, action) == pytest.approx(before + 0.5)
+        assert q.value(state, action) == expected
         # A second restore still sees the original value: the write
         # went to a private thawed copy, never the shared buffer.
         assert artifact.qtable().value(state, action) == before
-
-    def test_set_thaws_too(self, trained_cache, tea_adl):
-        cache, key, _ = trained_cache
-        q = cache.get_artifact(key, tea_adl).qtable()
-        state, action = next(iter(q.known_pairs()))
-        q.set(state, action, 9.0)
-        assert not q._frozen
-        assert q.value(state, action) == 9.0
 
     def test_artifact_buffers_are_read_only_views(
         self, trained_cache, tea_adl

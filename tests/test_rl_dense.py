@@ -452,6 +452,8 @@ def test_dense_traces_apply_update_and_snapshot():
     traces.apply_update(q, 2.0)
     assert q.value("s0", "a") == 1.0  # 2.0 * 0.5
     assert q.value("s1", "b") == 2.0
+    with pytest.raises(ValueError, match="share one index"):
+        traces.apply_update(DenseQTable(), 2.0)
     # items() is a snapshot: mutating mid-iteration must be safe.
     for (state, action), _ in traces.items():
         traces.visit(state, action)

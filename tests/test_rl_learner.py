@@ -1,0 +1,42 @@
+"""Behaviour the tabular learners share through ``TabularLearner``."""
+
+import pytest
+
+from repro.rl.double_q import DoubleQLearner
+from repro.rl.dyna import DynaQLearner
+from repro.rl.expected_sarsa import ExpectedSarsaLearner
+from repro.rl.learner import TabularLearner
+from repro.rl.tdlambda import TDLambdaQLearner
+
+#: The learners whose ``observe`` bootstraps from a set of next actions.
+NEXT_ACTION_SET_LEARNERS = {
+    "tdlambda": TDLambdaQLearner,
+    "expected-sarsa": ExpectedSarsaLearner,
+    "dyna": DynaQLearner,
+    "double-q": DoubleQLearner,
+}
+
+
+def _tables(learner):
+    if isinstance(learner, DoubleQLearner):
+        return (learner.q_a, learner.q_b)
+    return (learner.q,)
+
+
+@pytest.mark.parametrize("name", sorted(NEXT_ACTION_SET_LEARNERS))
+def test_empty_next_actions_raise_before_any_write(name):
+    learner = NEXT_ACTION_SET_LEARNERS[name]()
+    assert isinstance(learner, TabularLearner)
+    with pytest.raises(ValueError, match="no actions available"):
+        learner.observe("s", "a", 1.0, "s2", (), False)
+    for table in _tables(learner):
+        assert table.version == 0
+        assert len(table) == 0
+    assert learner.updates == 0
+
+
+@pytest.mark.parametrize("name", sorted(NEXT_ACTION_SET_LEARNERS))
+def test_empty_next_actions_are_fine_when_terminal(name):
+    learner = NEXT_ACTION_SET_LEARNERS[name](learning_rate=0.5)
+    assert learner.observe("s", "a", 1.0, "s2", (), True) == 1.0
+    assert learner.updates == 1
