@@ -10,14 +10,17 @@ falls in the paper's tens-of-iterations band.
 """
 
 from repro.core.metrics import mean
-from repro.evalx.learning_curve import run_learning_curve
+from repro.evalx.learning_curve import plan_learning_curve
+from repro.evalx.parallel import run_section
 
 SEEDS = tuple(range(10))
 
 
 def _run_both(paper_adls):
     return [
-        run_learning_curve(definition.adl, episodes=120, seeds=SEEDS)
+        run_section(
+            plan_learning_curve(definition.adl, episodes=120, seeds=SEEDS)
+        )
         for definition in paper_adls
     ]
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from repro.core.config import CoReDAConfig
 from repro.evalx.ablations import plan_radio_sweep
-from repro.evalx.extract_precision import run_extract_precision
+from repro.evalx.extract_precision import plan_extract_precision
 from repro.evalx.parallel import run_section
 from repro.evalx.runner import run_all
 
@@ -59,8 +59,13 @@ def _radio_cell(tea, oracle):
 
 def _extract_cell(paper_adls, oracle):
     with _firmware(oracle):
-        result = run_extract_precision(
-            paper_adls, samples_per_step=10, config=CoReDAConfig(), seed=0
+        result = run_section(
+            plan_extract_precision(
+                paper_adls,
+                samples_per_step=10,
+                config=CoReDAConfig(),
+                seed=0,
+            )
         )
     return [
         (row.step_name, row.detections, row.trials) for row in result.rows

@@ -6,16 +6,17 @@ towel" 85%).  Shape asserted: long vigorous steps >= 90%, the pour is
 the global minimum, both short steps miss sometimes.
 """
 
-from repro.evalx.extract_precision import run_extract_precision
+from repro.evalx.extract_precision import plan_extract_precision
+from repro.evalx.parallel import run_section
 
 SHORT_STEPS = ("Pour hot water into kettle", "Dry with a towel")
 
 
 def test_table3_extract_precision(benchmark, paper_adls):
     result = benchmark.pedantic(
-        run_extract_precision,
-        args=(paper_adls,),
-        kwargs={"samples_per_step": 40, "seed": 3},
+        lambda: run_section(
+            plan_extract_precision(paper_adls, samples_per_step=40, seed=3)
+        ),
         rounds=1,
         iterations=1,
     )

@@ -6,16 +6,17 @@ equally examined; 100% precision on every step except the first
 it exactly.
 """
 
-from repro.evalx.predict_precision import run_predict_precision
+from repro.evalx.parallel import run_section
+from repro.evalx.predict_precision import plan_predict_precision
 
 FIRST_STEPS = ("Put toothpaste on the brush", "Put tea-leaf into kettle")
 
 
 def test_table4_predict_precision(benchmark, paper_adls):
     result = benchmark.pedantic(
-        run_predict_precision,
-        args=(paper_adls,),
-        kwargs={"samples_per_adl": 30},
+        lambda: run_section(
+            plan_predict_precision(paper_adls, samples_per_adl=30)
+        ),
         rounds=1,
         iterations=1,
     )

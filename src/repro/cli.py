@@ -14,8 +14,10 @@ fleet      simulate a fleet of resident-homes (repro.fleet)
 lint       run the determinism / sim-safety static analyzer
 ========== ==========================================================
 
-Bad input -- an unknown ADL, ``--jobs`` below 1, an unreadable or
-invalid ``--config`` file -- exits with status 2 and one
+Bad input -- an unknown ADL, ``--jobs`` or ``--episodes`` below 1, a
+``--severity`` outside [0, 1], an unreadable or invalid ``--config``
+file, a ``--cache`` directory that cannot be created, ``train --save``
+of a run that never converged -- exits with status 2 and one
 ``repro: error: ...`` line on stderr.
 """
 
@@ -30,7 +32,11 @@ from repro.adls.library import default_registry
 from repro.core.config import CoReDAConfig
 from repro.core.config_io import load_config
 from repro.core.adl import Routine
-from repro.core.errors import ConfigurationError, UnknownADLError
+from repro.core.errors import (
+    ConfigurationError,
+    NotConvergedError,
+    UnknownADLError,
+)
 from repro.core.system import CoReDA
 from repro.evalx.tables import ascii_curve, format_table
 from repro.planning.store import save_predictor
@@ -47,6 +53,21 @@ class UsageError(Exception):
 def _check_jobs(jobs: int) -> None:
     if jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {jobs}")
+
+
+def _check_episodes(episodes: int) -> None:
+    if episodes < 1:
+        raise UsageError(f"--episodes must be at least 1, got {episodes}")
+
+
+def _check_cache(cache: Optional[str]) -> None:
+    from repro.evalx.runner import check_cache_dir
+
+    if cache:
+        try:
+            check_cache_dir(cache)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
 
 
 def _definition(name: str):
@@ -232,11 +253,21 @@ def _parse_routine(
 
 def _cmd_train(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     definition = _definition(args.adl)
+    _check_episodes(args.episodes)
     system = CoReDA.build(definition, _resolve_config(args))
     routine = None
     if args.routine:
         routine = _parse_routine(parser, definition, args.routine)
-    result = system.train_offline(routine=routine, episodes=args.episodes)
+    try:
+        # Only a saved policy must have converged; a plain run prints
+        # "not reached" instead.
+        result = system.train_offline(
+            routine=routine,
+            episodes=args.episodes,
+            require_converged=bool(args.save),
+        )
+    except NotConvergedError as exc:
+        raise UsageError(f"--save: {exc}") from None
     print(f"trained {args.adl} on {args.episodes} episodes "
           f"(routine {list(result.routine.step_ids)})")
     for criterion, iteration in sorted(result.convergence.items()):
@@ -254,6 +285,9 @@ def _cmd_train(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     definition = _definition(args.adl)
+    _check_episodes(args.episodes)
+    if not 0.0 <= args.severity <= 1.0:
+        raise UsageError(f"--severity must be in [0, 1], got {args.severity}")
     system = CoReDA.build(definition, _resolve_config(args))
     system.train_offline()
     if args.adapt:
@@ -297,17 +331,11 @@ def _cmd_scenario() -> int:
     return 0 if result.structure_ok() else 1
 
 
-def _cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from repro.evalx.runner import (
-        check_cache_dir,
-        print_timings,
-        run_all,
-        write_report,
-    )
+def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.evalx.runner import print_timings, run_all, write_report
 
     _check_jobs(args.jobs)
-    if args.cache:
-        check_cache_dir(parser, args.cache)
+    _check_cache(args.cache)
     timings = {}
     start = time.perf_counter()  # repro: allow[DET002] timing display only
     text = run_all(
@@ -325,13 +353,11 @@ def _cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
 
 def _cmd_fleet(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from repro.evalx.runner import check_cache_dir
     from repro.fleet import FleetSpec, run_fleet
 
     _check_jobs(args.jobs)
     _definition(args.adl)
-    if args.cache:
-        check_cache_dir(parser, args.cache)
+    _check_cache(args.cache)
     try:
         spec = FleetSpec(
             adl_name=args.adl,
@@ -420,7 +446,7 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.command == "scenario":
         return _cmd_scenario()
     if args.command == "report":
-        return _cmd_report(args, parser)
+        return _cmd_report(args)
     if args.command == "fleet":
         return _cmd_fleet(args, parser)
     if args.command == "lint":

@@ -55,6 +55,12 @@ class ReminderLevel(enum.Enum):
     MINIMAL = "minimal"
     SPECIFIC = "specific"
 
+    # Members are singletons compared by identity, so the C-level
+    # identity hash agrees with ``==``; ``Enum.__hash__`` is a Python
+    # call on every hash of a PromptAction (each trace visit in
+    # training).
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class Tool:

@@ -270,10 +270,19 @@ def write_report(
             handle.write(report)
 
 
-def check_cache_dir(parser: argparse.ArgumentParser, cache: str) -> None:
-    """Exit with a readable error when ``--cache`` cannot be a directory."""
-    if os.path.exists(cache) and not os.path.isdir(cache):
-        parser.error(f"--cache: {cache!r} exists and is not a directory")
+def check_cache_dir(cache: str) -> None:
+    """Create the ``--cache`` directory now.
+
+    Raises ``ValueError`` with a one-line message when ``cache`` exists
+    as a file or cannot be created, so the caller can report it as a
+    usage error instead of a traceback from deep inside a run.
+    """
+    try:
+        os.makedirs(cache, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(
+            f"--cache: cannot create directory {cache!r}: {exc.strerror}"
+        ) from None
 
 
 def print_timings(
@@ -313,7 +322,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--output", help="also write the report to this file")
     args = parser.parse_args(argv)
     if args.cache:
-        check_cache_dir(parser, args.cache)
+        try:
+            check_cache_dir(args.cache)
+        except ValueError as exc:
+            parser.error(str(exc))
     timings: Dict[str, float] = {}
     start = time.perf_counter()  # repro: allow[DET002] timing display only
     report = run_all(

@@ -402,19 +402,3 @@ def read_policy_artifact(
         backing=buffer,
     )
 
-
-def artifact_matches_document(
-    artifact: PolicyArtifact, document: dict
-) -> bool:
-    """Cheap coherence probe used by tests: same format and shape."""
-    return (
-        artifact.document_format == document.get("format")
-        and artifact.adl_name == document.get("adl")
-        and artifact.n_states
-        == len(
-            {
-                (entry["previous"], entry["current"])
-                for entry in document["entries"]
-            }
-        )
-    )

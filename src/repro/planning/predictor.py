@@ -15,7 +15,7 @@ from repro.core.errors import NotConvergedError
 from repro.planning.action import PromptAction
 from repro.planning.state import PlanningState
 from repro.planning.trainer import TrainingResult
-from repro.rl.batch import greedy_policy_for
+from repro.rl.batch import GreedyPolicyTable
 from repro.rl.dense import DenseQTable
 
 __all__ = ["NextStepPredictor"]
@@ -24,13 +24,13 @@ __all__ = ["NextStepPredictor"]
 class NextStepPredictor:
     """Greedy next-step lookup over a trained Q-table.
 
-    Predictions are served from a lazily-built greedy-policy cache (a
-    full argmax table over a :class:`~repro.rl.dense.DenseQTable`, a
-    per-state memo over Double Q's mean view) keyed on the Q-table's
-    monotone write counter -- identical answers to the table's own
-    ``best_action``.  The version check makes the cache safe under
-    online adaptation: a learner writing through the same table
-    invalidates it instead of leaving stale prompts deployed.
+    Predictions are served from a lazily-built
+    :class:`~repro.rl.batch.GreedyPolicyTable` (a full argmax table
+    over the :class:`~repro.rl.dense.DenseQTable`) keyed on the
+    Q-table's monotone write counter -- identical answers to the
+    table's own ``best_action``.  The version check makes the cache
+    safe under online adaptation: a learner writing through the same
+    table invalidates it instead of leaving stale prompts deployed.
     """
 
     __slots__ = ("q", "actions", "converged", "_policy")
@@ -76,14 +76,7 @@ class NextStepPredictor:
         """The prompt for ``state`` = ⟨previous StepID, current StepID⟩."""
         policy = self._policy
         if policy is None:
-            policy = greedy_policy_for(self.q, self.actions)
-            if policy is None:
-                # A table without a version counter: there is nothing
-                # to revalidate a cache against, so ask it every time.
-                if not isinstance(state, PlanningState):
-                    state = PlanningState(*state)
-                return self.q.best_action(state, self.actions)
-            self._policy = policy
+            policy = self._policy = GreedyPolicyTable(self.q, self.actions)
         return policy.lookup(state)
 
     def predict_next_tool(

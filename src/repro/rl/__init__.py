@@ -10,26 +10,13 @@ detection.
 
 from repro.rl.convergence import ConvergenceDetector, convergence_iteration
 from repro.rl.dense import DenseQTable, DenseTraces, StateActionIndex
-from repro.rl.double_q import DoubleQLearner
 from repro.rl.dyna import DynaQLearner
 from repro.rl.expected_sarsa import ExpectedSarsaLearner
-from repro.rl.experience import ReplayBuffer, Transition
 from repro.rl.mdp import TabularMDP, TransitionOutcome
-from repro.rl.policies import (
-    EpsilonGreedyPolicy,
-    GreedyPolicy,
-    Policy,
-    SoftmaxPolicy,
-)
-from repro.rl.rewards import CallableReward, RewardFunction, TabularReward
+from repro.rl.policies import EpsilonGreedyPolicy, GreedyPolicy, Policy
+from repro.rl.rewards import RewardFunction
 from repro.rl.sarsa import SarsaLambdaLearner
-from repro.rl.schedules import (
-    ConstantSchedule,
-    ExponentialDecay,
-    HarmonicDecay,
-    LinearDecay,
-    Schedule,
-)
+from repro.rl.schedules import ConstantSchedule, ExponentialDecay, Schedule
 from repro.rl.tdlambda import TDLambdaQLearner
 from repro.rl.traces import TraceKind
 from repro.rl.value_iteration import (
@@ -40,31 +27,23 @@ from repro.rl.value_iteration import (
 )
 
 __all__ = [
-    "CallableReward",
     "ConstantSchedule",
     "ConvergenceDetector",
     "DenseQTable",
     "DenseTraces",
-    "DoubleQLearner",
     "DynaQLearner",
     "EpsilonGreedyPolicy",
     "ExpectedSarsaLearner",
     "ExponentialDecay",
     "GreedyPolicy",
-    "HarmonicDecay",
-    "LinearDecay",
     "Policy",
-    "ReplayBuffer",
     "RewardFunction",
     "SarsaLambdaLearner",
     "Schedule",
-    "SoftmaxPolicy",
     "StateActionIndex",
     "TabularMDP",
-    "TabularReward",
     "TDLambdaQLearner",
     "TraceKind",
-    "Transition",
     "TransitionOutcome",
     "ValueIterationResult",
     "convergence_iteration",

@@ -208,8 +208,8 @@ class DenseQTable:
     in one flat buffer (``offset = state_id * stride + action_id``);
     :meth:`as_array` exposes the same data as a NumPy matrix, rebuilt
     lazily after writes, which :meth:`best_actions` uses for large
-    batches.  Tables may share one :class:`StateActionIndex` (Double
-    Q-learning does).
+    batches.  Tables may share one :class:`StateActionIndex`
+    (:meth:`copy` does).
     """
 
     __slots__ = (
@@ -652,27 +652,6 @@ class DenseQTable:
             g = _make_gather([base + aid for aid in view.ids_list])
             self._gather[key] = g
         return list(g(self._flat))
-
-    def action_values_sorted(
-        self, state: State, actions: Sequence[Action]
-    ) -> Tuple[List[float], Tuple[Action, ...]]:
-        """(values, actions), both in the deterministic repr order."""
-        view = self._view(actions)
-        sorted_ids = view.sorted_ids_list
-        if not sorted_ids:
-            raise ValueError(f"no actions available in state {state!r}")
-        sid = self._state_ids.get(state)
-        if sid is None:
-            sid = self.index.state_id(state)
-        if sid >= self._rows or view.max_id >= self._cols:
-            self._grow()
-        key = (sid, view, 1)
-        g = self._gather.get(key)
-        if g is None:
-            base = sid * self._cols
-            g = _make_gather([base + aid for aid in sorted_ids])
-            self._gather[key] = g
-        return list(g(self._flat)), view.sorted_actions
 
     def best_actions(
         self, states: Sequence[State], actions: Sequence[Action]

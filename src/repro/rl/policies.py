@@ -16,7 +16,7 @@ import numpy as np
 from repro.rl.dense import DenseQTable
 from repro.rl.schedules import ConstantSchedule, Schedule
 
-__all__ = ["Policy", "GreedyPolicy", "EpsilonGreedyPolicy", "SoftmaxPolicy"]
+__all__ = ["Policy", "GreedyPolicy", "EpsilonGreedyPolicy"]
 
 State = Hashable
 Action = Hashable
@@ -96,40 +96,3 @@ class EpsilonGreedyPolicy(Policy):
             return choice, choice != greedy
         return greedy, False
 
-
-class SoftmaxPolicy(Policy):
-    """Boltzmann exploration: P(a) ∝ exp(Q(s,a)/τ).
-
-    Temperature may be scheduled.  Numerically stabilised by
-    subtracting the max Q before exponentiation.
-    """
-
-    def __init__(self, temperature) -> None:
-        if isinstance(temperature, Schedule):
-            self.temperature_schedule: Schedule = temperature
-        else:
-            value = float(temperature)
-            if value <= 0:
-                raise ValueError("temperature must be positive")
-            self.temperature_schedule = ConstantSchedule(value)
-
-    def select(
-        self,
-        q: DenseQTable,
-        state: State,
-        actions: Sequence[Action],
-        rng: np.random.Generator,
-        step: int = 0,
-    ) -> Tuple[Action, bool]:
-        raw, ordered = q.action_values_sorted(state, actions)
-        values = np.asarray(raw, dtype=float)
-        temperature = max(self.temperature_schedule.value(step), 1e-8)
-        logits = (values - values.max()) / temperature
-        probabilities = np.exp(logits)
-        probabilities /= probabilities.sum()
-        index = int(rng.choice(len(ordered), p=probabilities))
-        choice = ordered[index]
-        # First max in the shared repr order = q.best_action's greedy
-        # choice, without paying a second sort.
-        greedy = ordered[int(values.argmax())]
-        return choice, choice != greedy

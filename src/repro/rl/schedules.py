@@ -1,4 +1,4 @@
-"""Parameter schedules (learning rate, exploration, temperature).
+"""Parameter schedules (learning rate, exploration).
 
 A schedule maps a step counter to a value.  The paper notes that the
 operator "can set the parameters (converging condition, learning rate,
@@ -15,8 +15,6 @@ __all__ = [
     "Schedule",
     "ConstantSchedule",
     "ExponentialDecay",
-    "LinearDecay",
-    "HarmonicDecay",
 ]
 
 
@@ -68,37 +66,3 @@ class ExponentialDecay(Schedule):
         self._memo_value = value
         return value
 
-
-class LinearDecay(Schedule):
-    """Linear ramp from ``initial`` to ``final`` over ``span`` steps."""
-
-    def __init__(self, initial: float, final: float, span: int) -> None:
-        if span <= 0:
-            raise ValueError("span must be positive")
-        self.initial = float(initial)
-        self.final = float(final)
-        self.span = int(span)
-
-    def value(self, step: int) -> float:
-        if step >= self.span:
-            return self.final
-        fraction = step / self.span
-        return self.initial + (self.final - self.initial) * fraction
-
-
-class HarmonicDecay(Schedule):
-    """``initial / (1 + step / half_life)`` -- the classic 1/t family.
-
-    Satisfies the Robbins-Monro conditions (sum diverges, sum of
-    squares converges), which guarantees tabular Q-learning
-    convergence in the limit.
-    """
-
-    def __init__(self, initial: float, half_life: float = 10.0) -> None:
-        if half_life <= 0:
-            raise ValueError("half_life must be positive")
-        self.initial = float(initial)
-        self.half_life = float(half_life)
-
-    def value(self, step: int) -> float:
-        return self.initial / (1.0 + step / self.half_life)

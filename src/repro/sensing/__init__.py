@@ -1,24 +1,16 @@
 """The sensing subsystem: sensor frames in, StepID stream out."""
 
-from repro.sensing.calibration import (
-    CalibrationResult,
-    calibrate_threshold,
-    false_positive_rate,
-)
 from repro.sensing.history import DwellStats, UsageHistory, UsageRecord
 from repro.sensing.segmentation import infer_routine, segment_episodes
 from repro.sensing.step_extractor import StepExtractor
 from repro.sensing.subsystem import SensingSubsystem
 
 __all__ = [
-    "CalibrationResult",
     "DwellStats",
     "SensingSubsystem",
     "StepExtractor",
     "UsageHistory",
     "UsageRecord",
-    "calibrate_threshold",
-    "false_positive_rate",
     "infer_routine",
     "segment_episodes",
 ]

@@ -29,13 +29,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.adl import Tool
 from repro.core.config import SensingConfig
-from repro.sensors.agc import ThresholdController
 from repro.sensors.battery import Battery, PowerProfile
 from repro.sensors.clock import RealTimeClock
 from repro.sensors.detector import DetectorState, KofNDetector
@@ -122,7 +121,6 @@ class PavenetNode:
         spec: HardwareSpec = PAVENET_SPEC,
         battery: Optional[Battery] = None,
         power_profile: Optional[PowerProfile] = None,
-        agc: Optional[ThresholdController] = None,
     ) -> None:
         self.sim = sim
         self.tool = tool
@@ -151,10 +149,6 @@ class PavenetNode:
         self.power_profile = (
             power_profile if power_profile is not None else PowerProfile()
         )
-        #: None = fixed (pre-calibrated) threshold, as in the paper;
-        #: a ThresholdController self-calibrates against the noise
-        #: floor while the node runs.
-        self.agc = agc
         # Block sampler state (see module docstring).
         self._hz = config.sampling_hz
         self._period = 1.0 / config.sampling_hz
@@ -171,7 +165,6 @@ class PavenetNode:
         self._block_last = 0.0
         self._block_source_state: Optional[SourceState] = None
         self._block_detector_state: Optional[DetectorState] = None
-        self._block_agc_state: Optional[Tuple[float, int]] = None
         # (scheduled time, event) pairs: the time rides along because
         # the events are scheduled ``reusable`` -- once one has fired
         # the kernel may recycle the object, so pruning decisions must
@@ -239,8 +232,6 @@ class PavenetNode:
                                      uid=self.uid)
                 return  # the node dies in place
             sample = self.source.read(self.sim.now)
-            if self.agc is not None:
-                self.detector.threshold = self.agc.observe(sample)
             if self.detector.observe(sample):
                 self._report_usage()
             yield Timeout(period)
@@ -278,17 +269,10 @@ class PavenetNode:
             self._idle_samples = min(2 * n, _MAX_IDLE_SAMPLES)
             times = self._block_sample_times(t0, n)
         # Snapshot everything a mid-block regime change would need to
-        # roll back: RNG + regime, detector window, AGC noise tracker.
+        # roll back: RNG + regime, detector window.
         self._block_source_state = source.capture()
         self._block_detector_state = self.detector.snapshot()
-        if self.agc is not None:
-            tracker = self.agc.tracker
-            self._block_agc_state = (tracker.estimate, tracker.observations)
-        values = source.read_block(t0, n, self._hz)
-        if self.agc is None:
-            hits = self.detector.observe_block(values)
-        else:
-            hits = self._detect(values)
+        hits = self.detector.observe_block(source.read_block(t0, n, self._hz))
         self._block_pending = pending = []
         for index in hits:
             if index == 0:
@@ -307,20 +291,6 @@ class PavenetNode:
         self._block_event = sim.schedule_at(
             last + self._period, self._process_block, reusable=True
         )
-
-    def _detect(self, values) -> Sequence[int]:
-        """Run the detector over a value block; return detecting indices."""
-        if self.agc is None:
-            return self.detector.observe_block(values)
-        hits: List[int] = []
-        detector = self.detector
-        agc = self.agc
-        for index, value in enumerate(values):
-            sample = float(value)
-            detector.threshold = agc.observe(sample)
-            if detector.observe(sample):
-                hits.append(index)
-        return hits
 
     def _on_regime_change(self) -> None:
         """Resynchronise after ``begin_use``/``end_use``.
@@ -392,13 +362,10 @@ class PavenetNode:
         source = self.source
         source.restore(self._block_source_state)
         self.detector.restore(self._block_detector_state)
-        if self.agc is not None and self._block_agc_state is not None:
-            tracker = self.agc.tracker
-            tracker.estimate, tracker.observations = self._block_agc_state
         if j:
             # Replay for state only: the committed hits already fired
             # (or sit in ``kept``), so the indices are discarded.
-            self._detect(source.read_block_at(times[:j]))
+            self.detector.observe_block(source.read_block_at(times[:j]))
         if regime is not None:
             source.set_regime(*regime)
         self._block_t0 = None

@@ -87,20 +87,6 @@ class QTable:
         """``[Q(s, a) for a in actions]`` in the given order."""
         return [self.value(state, a) for a in actions]
 
-    def action_values_sorted(
-        self, state: State, actions: Sequence[Action]
-    ) -> Tuple[List[float], Tuple[Action, ...]]:
-        """(values, actions), both in the deterministic repr order.
-
-        This is the tie-break order :meth:`best_action` uses, exposed
-        so policies that need the full value vector (softmax) sort
-        once and share the order instead of sorting twice.
-        """
-        ordered = tuple(sorted(actions, key=repr))
-        if not ordered:
-            raise ValueError(f"no actions available in state {state!r}")
-        return [self.value(state, a) for a in ordered], ordered
-
     def greedy_policy(
         self, states_actions: Dict[State, List[Action]]
     ) -> Dict[State, Action]:

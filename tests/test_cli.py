@@ -215,6 +215,34 @@ BAD_INPUTS = {
         )],
         "'batch_samples'",
     ),
+    "report-cache-uncreatable": (
+        lambda tmp: ["report", "--fast", "--cache",
+                     _write(tmp / "file", "") + "/cache"],
+        "--cache: cannot create directory",
+    ),
+    "fleet-cache-is-a-file": (
+        lambda tmp: ["fleet", "--cache", _write(tmp / "file", "")],
+        "--cache: cannot create directory",
+    ),
+    "train-episodes-0": (lambda tmp: ["train", "tea-making", "--episodes", "0"],
+                         "--episodes must be at least 1"),
+    "simulate-episodes-negative": (
+        lambda tmp: ["simulate", "tea-making", "--episodes", "-1"],
+        "--episodes must be at least 1",
+    ),
+    "simulate-severity-above-1": (
+        lambda tmp: ["simulate", "tea-making", "--severity", "1.5"],
+        "--severity must be in [0, 1]",
+    ),
+    "simulate-severity-negative": (
+        lambda tmp: ["simulate", "tea-making", "--severity", "-0.1"],
+        "--severity must be in [0, 1]",
+    ),
+    "train-save-unconverged": (
+        lambda tmp: ["train", "tea-making", "--episodes", "5",
+                     "--save", str(tmp / "policy.json")],
+        "--save: training never reached the 95% criterion",
+    ),
 }
 
 

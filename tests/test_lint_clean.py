@@ -68,3 +68,26 @@ def test_suppressions_are_justified():
             if match and not match.group(1).strip():
                 bare.append(f"{path}:{number}")
     assert not bare, f"suppressions without a reason: {bare}"
+
+
+def test_manifest_names_existing_files_and_classes():
+    # PERF001 and DET001 only check the modules they lint, so an entry
+    # whose file or class was deleted is skipped silently; catch the
+    # drift here instead.
+    import ast
+
+    from repro.analysis.manifest import HOT_PATH_CLASSES, RNG_MODULE_SUFFIXES
+
+    src = SRC.parent
+    for suffix in RNG_MODULE_SUFFIXES:
+        assert (src / suffix).is_file(), f"RNG_MODULE_SUFFIXES: no {suffix}"
+    for suffix, classes in HOT_PATH_CLASSES:
+        path = src / suffix
+        assert path.is_file(), f"HOT_PATH_CLASSES: no {suffix}"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = {
+            node.name for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+        }
+        missing = sorted(set(classes) - defined)
+        assert not missing, f"HOT_PATH_CLASSES: {suffix} lacks {missing}"

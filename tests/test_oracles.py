@@ -2,17 +2,16 @@
 
 Every production data structure below has one implementation in
 ``src/``.  Its reference twin lives under ``tests/oracles/`` (or, for
-the HMM stack and the shard kernel, is the per-item public API), and
-Hypothesis drives both through the same random operation sequences:
-any observable difference -- a popped ``(time, seq)``, a Q-value, an
-argmax tie-break, a trace, a log-likelihood bit -- fails the test.
+the shard kernel, is the per-item public API), and Hypothesis drives
+both through the same random operation sequences: any observable
+difference -- a popped ``(time, seq)``, a Q-value, an argmax
+tie-break, a trace -- fails the test.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -25,7 +24,6 @@ from repro.core.config import CoReDAConfig
 from repro.fleet import FleetSpec, simulate_home, simulate_shard
 from repro.fleet.metrics import HomeReport
 from repro.planning.store import PolicyCache
-from repro.recognition import BatchedHMM, DiscreteHMM
 from repro.rl.dense import DenseQTable, DenseTraces
 from repro.rl.traces import TraceKind
 from repro.sensors.pavenet import _MAX_IDLE_SAMPLES, PavenetNode
@@ -231,48 +229,6 @@ def test_dense_traces_match_dict_oracle(kind, ops):
         assert list(dense.items()) == list(oracle.items())
         assert len(dense) == len(oracle)
     assert dense_q.max_abs_difference(oracle_q) == 0.0
-
-
-# ---------------------------------------------------------------------------
-# HMM stack: BatchedHMM vs one DiscreteHMM forward per model
-# ---------------------------------------------------------------------------
-
-
-def _random_models(seed: int, sizes, n_symbols: int):
-    rng = np.random.default_rng(seed)
-    return [
-        DiscreteHMM(
-            rng.dirichlet(np.ones(n)),
-            rng.dirichlet(np.ones(n), size=n),
-            rng.dirichlet(np.ones(n_symbols), size=n),
-        )
-        for n in sizes
-    ]
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.integers(0, 2**32 - 1),
-    st.lists(st.integers(1, 8), min_size=1, max_size=6),
-    st.integers(1, 7).flatmap(
-        lambda n: st.tuples(
-            st.just(n),
-            st.lists(st.lists(st.integers(0, n - 1), max_size=30),
-                     min_size=1, max_size=5),
-        )
-    ),
-)
-def test_batched_hmm_bit_equals_per_model_loop(seed, sizes, alphabet):
-    n_symbols, streams = alphabet
-    models = _random_models(seed, sizes, n_symbols)
-    batched = BatchedHMM(models)
-    for stream in streams:
-        assert batched.log_likelihoods(stream).tolist() == [
-            m.log_likelihood(stream) for m in models
-        ]
-    assert batched.log_likelihood_matrix(streams).tolist() == [
-        [m.log_likelihood(s) for m in models] for s in streams
-    ]
 
 
 # ---------------------------------------------------------------------------

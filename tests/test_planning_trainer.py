@@ -100,26 +100,6 @@ class TestTrainingResult:
 
 
 class TestAlternativeLearners:
-    def test_double_q_learner_supported(self, tea_adl):
-        # Double-Q is a drop-in for the trainer interface, but its
-        # cross-table argmax churn (the update table's greedy pick is
-        # valued by the *other* table, which may rate an untried tie
-        # low) keeps snapshot greedy accuracy from pinning at 1.0 on
-        # this formulation -- unbiasedness costs variance.  The claim
-        # here is integration + a sane floor; Double-Q's own win (the
-        # maximization-bias counterexample) is tests/test_rl_double_q.
-        from repro.rl.double_q import DoubleQLearner
-        from repro.rl.policies import EpsilonGreedyPolicy
-
-        learner = DoubleQLearner(
-            learning_rate=0.2,
-            discount=0.9,
-            policy=EpsilonGreedyPolicy(0.5),
-            initial_q=0.0,
-        )
-        _, result = train(tea_adl, learner=learner)
-        assert result.curve.greedy_accuracy[-1] >= 2 / 3
-
     def test_expected_sarsa_learner_supported(self, tea_adl):
         from repro.rl.expected_sarsa import ExpectedSarsaLearner
 

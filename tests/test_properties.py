@@ -9,7 +9,7 @@ from repro.core.bus import EventBus
 from repro.core.metrics import rolling_mean, wilson_interval
 from repro.rl.convergence import ConvergenceDetector, convergence_iteration
 from repro.rl.dense import DenseQTable, DenseTraces
-from repro.rl.schedules import ExponentialDecay, HarmonicDecay, LinearDecay
+from repro.rl.schedules import ExponentialDecay
 from repro.rl.traces import TraceKind
 from repro.sensing.history import UsageHistory
 from repro.sensors.detector import KofNDetector
@@ -122,18 +122,6 @@ def test_exponential_decay_is_monotone(a, b):
     schedule = ExponentialDecay(1.0, 0.95, minimum=0.01)
     early, late = sorted([a, b])
     assert schedule.value(early) >= schedule.value(late) >= 0.01
-
-
-@given(st.integers(min_value=0, max_value=10_000))
-def test_harmonic_decay_positive_and_bounded(step):
-    schedule = HarmonicDecay(0.5, half_life=7.0)
-    assert 0.0 < schedule.value(step) <= 0.5
-
-
-@given(st.integers(min_value=0, max_value=10_000))
-def test_linear_decay_stays_in_range(step):
-    schedule = LinearDecay(0.9, 0.1, span=100)
-    assert 0.1 <= schedule.value(step) <= 0.9
 
 
 # ---------------------------------------------------------------------------

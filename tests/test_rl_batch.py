@@ -2,18 +2,11 @@
 
 import numpy as np
 import pytest
-from oracles.qtable import QTable
 
 from repro.core.adl import ReminderLevel
 from repro.planning.action import PromptAction
-from repro.rl.batch import (
-    GreedyPolicyTable,
-    MemoizedGreedyPolicy,
-    ShardPredictor,
-    greedy_policy_for,
-)
+from repro.rl.batch import GreedyPolicyTable, ShardPredictor
 from repro.rl.dense import _VECTOR_MIN_ELEMENTS, DenseQTable
-from repro.rl.double_q import DoubleQLearner
 from repro.rl.expected_sarsa import ExpectedSarsaLearner
 from repro.rl.sarsa import SarsaLambdaLearner
 from repro.rl.tdlambda import TDLambdaQLearner
@@ -79,62 +72,10 @@ class TestGreedyPolicyTable:
             GreedyPolicyTable(DenseQTable(0.0), [])
 
 
-class TestMemoizedGreedyPolicy:
-    def test_matches_best_action(self):
-        q = QTable(0.0)
-        q.set((0, 1), "bravo", 4.0)
-        q.set((1, 2), "delta", 2.0)
-        policy = MemoizedGreedyPolicy(q, ACTIONS)
-        for state in ((0, 1), (1, 2), (9, 9)):
-            assert policy.lookup(state) == q.best_action(state, ACTIONS)
-
-    def test_memo_cleared_on_write(self):
-        q = QTable(0.0)
-        q.set("s", "alpha", 1.0)
-        policy = MemoizedGreedyPolicy(q, ACTIONS)
-        assert policy.lookup("s") == "alpha"
-        q.add("s", "charlie", 5.0)
-        assert policy.lookup("s") == "charlie"
-
-    def test_empty_action_space_rejected(self):
-        with pytest.raises(ValueError):
-            MemoizedGreedyPolicy(QTable(0.0), [])
-
-
-class TestGreedyPolicyFor:
-    def test_dense_gets_full_table(self):
-        assert isinstance(
-            greedy_policy_for(DenseQTable(0.0), ACTIONS), GreedyPolicyTable
-        )
-
-    def test_sparse_gets_memo(self):
-        # Any table with best_action and a version counter -- here the
-        # dict-backed oracle -- gets the generic memo.
-        assert isinstance(
-            greedy_policy_for(QTable(0.0), ACTIONS), MemoizedGreedyPolicy
-        )
-
-    def test_double_q_mean_view_gets_memo(self):
-        learner = DoubleQLearner()
-        policy = greedy_policy_for(learner.q, ACTIONS)
-        assert isinstance(policy, MemoizedGreedyPolicy)
-        # Writes to either underlying table invalidate the memo.
-        assert policy.lookup("s") == learner.q.best_action("s", ACTIONS)
-        learner.q_b.set("s", "delta", 99.0)
-        assert policy.lookup("s") == learner.q.best_action("s", ACTIONS)
-
-    def test_unknown_table_type_uncacheable(self):
-        class Opaque:
-            def best_action(self, state, actions):  # pragma: no cover
-                return actions[0]
-
-        assert greedy_policy_for(Opaque(), ACTIONS) is None
-
-
 class TestLearnerWritesBumpVersion:
     """Every learner write path must move the version counter.
 
-    The memoized policies revalidate against it; a fused fast path
+    The greedy-policy tables revalidate against it; a fused fast path
     that writes the flat buffer without bumping it would serve stale
     prompts under online adaptation.
     """
@@ -179,13 +120,6 @@ class TestLearnerWritesBumpVersion:
         )
         assert learner.q.version > before
 
-    def test_double_q(self):
-        learner = DoubleQLearner()
-        before = learner.q.version
-        learner.observe((0, 1), "alpha", 1.0, (1, 2), list(ACTIONS), False)
-        assert learner.q.version > before
-
-
 class _StubPredictor:
     def __init__(self, q, actions):
         self.q = q
@@ -227,15 +161,6 @@ class TestShardPredictor:
         assert shard.inner is inner
         assert shard.converged
         assert shard.actions == actions
-
-    def test_uncacheable_table_rejected(self):
-        class Opaque:
-            pass
-
-        stub = _StubPredictor(Opaque(), self.prompt_actions())
-        with pytest.raises(TypeError):
-            ShardPredictor(stub)
-
 
 class TestArgmaxProberVectorPath:
     def test_vector_and_scalar_paths_agree(self):

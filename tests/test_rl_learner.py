@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.rl.double_q import DoubleQLearner
 from repro.rl.dyna import DynaQLearner
 from repro.rl.expected_sarsa import ExpectedSarsaLearner
 from repro.rl.learner import TabularLearner
@@ -13,14 +12,7 @@ NEXT_ACTION_SET_LEARNERS = {
     "tdlambda": TDLambdaQLearner,
     "expected-sarsa": ExpectedSarsaLearner,
     "dyna": DynaQLearner,
-    "double-q": DoubleQLearner,
 }
-
-
-def _tables(learner):
-    if isinstance(learner, DoubleQLearner):
-        return (learner.q_a, learner.q_b)
-    return (learner.q,)
 
 
 @pytest.mark.parametrize("name", sorted(NEXT_ACTION_SET_LEARNERS))
@@ -29,9 +21,8 @@ def test_empty_next_actions_raise_before_any_write(name):
     assert isinstance(learner, TabularLearner)
     with pytest.raises(ValueError, match="no actions available"):
         learner.observe("s", "a", 1.0, "s2", (), False)
-    for table in _tables(learner):
-        assert table.version == 0
-        assert len(table) == 0
+    assert learner.q.version == 0
+    assert len(learner.q) == 0
     assert learner.updates == 0
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.rl.policies import EpsilonGreedyPolicy, GreedyPolicy, SoftmaxPolicy
+from repro.rl.policies import EpsilonGreedyPolicy, GreedyPolicy
 from repro.rl.dense import DenseQTable
 from repro.rl.schedules import ExponentialDecay
 
@@ -64,31 +64,3 @@ class TestEpsilonGreedy:
         with pytest.raises(ValueError):
             EpsilonGreedyPolicy(0.1).select(q, "s", [], rng)
 
-
-class TestSoftmax:
-    def test_low_temperature_is_greedy(self, q, rng):
-        policy = SoftmaxPolicy(0.01)
-        picks = [policy.select(q, "s", ACTIONS, rng)[0] for _ in range(50)]
-        assert all(action == "best" for action in picks)
-
-    def test_high_temperature_near_uniform(self, q, rng):
-        policy = SoftmaxPolicy(1e6)
-        picks = [policy.select(q, "s", ACTIONS, rng)[0] for _ in range(900)]
-        for action in ACTIONS:
-            assert picks.count(action) > 200
-
-    def test_probabilities_follow_values(self, q, rng):
-        policy = SoftmaxPolicy(5.0)
-        picks = [policy.select(q, "s", ACTIONS, rng)[0] for _ in range(2000)]
-        assert picks.count("best") > picks.count("mid") > picks.count("worst")
-
-    def test_numerical_stability_with_huge_values(self, rng):
-        table = DenseQTable()
-        table.set("s", "a", 1e9)
-        table.set("s", "b", 0.0)
-        action, _ = SoftmaxPolicy(1.0).select(table, "s", ["a", "b"], rng)
-        assert action == "a"
-
-    def test_invalid_temperature(self):
-        with pytest.raises(ValueError):
-            SoftmaxPolicy(0.0)

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.rl.schedules import (
-    ConstantSchedule,
-    ExponentialDecay,
-    HarmonicDecay,
-    LinearDecay,
-)
+from repro.rl.schedules import ConstantSchedule, ExponentialDecay
 
 
 class TestConstant:
@@ -39,41 +34,3 @@ class TestExponential:
     def test_decay_of_one_is_constant(self):
         schedule = ExponentialDecay(0.7, 1.0)
         assert schedule.value(500) == 0.7
-
-
-class TestLinear:
-    def test_endpoints(self):
-        schedule = LinearDecay(1.0, 0.0, span=10)
-        assert schedule.value(0) == 1.0
-        assert schedule.value(10) == 0.0
-        assert schedule.value(50) == 0.0
-
-    def test_midpoint(self):
-        schedule = LinearDecay(1.0, 0.0, span=10)
-        assert schedule.value(5) == pytest.approx(0.5)
-
-    def test_rising_ramp_allowed(self):
-        schedule = LinearDecay(0.0, 1.0, span=4)
-        assert schedule.value(2) == pytest.approx(0.5)
-
-    def test_span_positive(self):
-        with pytest.raises(ValueError):
-            LinearDecay(1.0, 0.0, span=0)
-
-
-class TestHarmonic:
-    def test_initial(self):
-        assert HarmonicDecay(1.0, half_life=10.0).value(0) == 1.0
-
-    def test_half_at_half_life(self):
-        assert HarmonicDecay(1.0, half_life=10.0).value(10) == pytest.approx(0.5)
-
-    def test_robbins_monro_shape(self):
-        schedule = HarmonicDecay(1.0, half_life=1.0)
-        values = [schedule.value(t) for t in range(1, 1000)]
-        assert sum(values) > 5.0  # diverging sum (log growth)
-        assert sum(v * v for v in values) < 3.0  # converging square sum
-
-    def test_half_life_positive(self):
-        with pytest.raises(ValueError):
-            HarmonicDecay(1.0, half_life=0.0)

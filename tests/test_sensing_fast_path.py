@@ -14,6 +14,7 @@ from oracles.firmware import per_sample_firmware
 
 from repro.core.adl import SensorType, Tool
 from repro.core.config import CoReDAConfig, RadioConfig, SensingConfig
+from repro.evalx.parallel import run_section
 from repro.evalx.scenario import build_tea_scenario, run_tea_scenario
 from repro.sensors.pavenet import PavenetNode
 from repro.sensors.radio import BASE_STATION_UID, RadioMedium
@@ -214,13 +215,18 @@ class TestScenarioEquivalence:
 class TestExtractPrecisionEquivalence:
     def test_table3_cell_identical(self):
         from repro.adls.tea_making import tea_making_definition
-        from repro.evalx.extract_precision import run_extract_precision
+        from repro.evalx.extract_precision import plan_extract_precision
 
         definition = tea_making_definition()
 
         def rows():
-            result = run_extract_precision(
-                [definition], samples_per_step=4, config=CoReDAConfig(), seed=0
+            result = run_section(
+                plan_extract_precision(
+                    [definition],
+                    samples_per_step=4,
+                    config=CoReDAConfig(),
+                    seed=0,
+                )
             )
             return [
                 (row.step_name, row.detections, row.trials, row.precision)
