@@ -505,25 +505,19 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-#: Statements that unconditionally leave the enclosing block.
-_TERMINATORS = (ast.Return, ast.Raise, ast.Continue, ast.Break)
-
-
 class StatementOrder:
     """Structural execution order inside one function body.
 
     Used by the path-sensitive rules (VER001's "bumps the version on
-    every path", SIM003's "never referenced after recycle").  Each
+    every path", PAR003's "thawed before every write").  Each
     statement gets a *path*: the chain of ``(block, index)`` steps
     from the function body down to it.  Two relations fall out:
 
     * :meth:`covers_after` -- ``b`` executes after ``a`` on **every**
       structural fall-through path (``b`` sits later in one of ``a``'s
       enclosing blocks, not nested inside a later conditional).
-    * :meth:`may_follow` -- ``b`` **may** execute after ``a`` (``b``
-      or an ancestor of ``b`` sits later in one of ``a``'s enclosing
-      blocks), honouring ``return``/``raise``/``continue``/``break``
-      barriers between ``a`` and the fall-through point.
+    * :meth:`covers_before` -- the mirror: ``b`` executes before ``a``
+      on every path that reaches ``a``.
 
     The model ignores exceptions and treats loop bodies as straight-
     line (a statement later in a loop body is "after" an earlier one);
@@ -531,13 +525,11 @@ class StatementOrder:
     checking, and both rules have fixture tests pinning it.
     """
 
-    __slots__ = ("_paths", "_blocks", "_owner")
+    __slots__ = ("_paths", "_owner")
 
     def __init__(self, function: ast.AST) -> None:
         #: id(stmt) -> tuple of (block serial, index) steps.
         self._paths: Dict[int, Tuple[Tuple[int, int], ...]] = {}
-        #: block serial -> the statement list it stands for.
-        self._blocks: Dict[int, List[ast.stmt]] = {}
         #: id(any node) -> its innermost enclosing statement.
         self._owner: Dict[int, ast.stmt] = {}
         serial = 0
@@ -548,7 +540,6 @@ class StatementOrder:
         while stack:
             block, prefix = stack.pop()
             serial += 1
-            self._blocks[serial] = block
             for index, stmt in enumerate(block):
                 path = prefix + ((serial, index),)
                 self._paths[id(stmt)] = path
@@ -575,12 +566,6 @@ class StatementOrder:
         while owner is not None and id(owner) not in self._paths:
             owner = self._owner.get(id(owner))
         return owner
-
-    def statements(self) -> Iterator[ast.stmt]:
-        """Every tracked statement (arbitrary order)."""
-        for block in self._blocks.values():
-            for stmt in block:
-                yield stmt
 
     def covers_after(self, a: ast.stmt, b: ast.stmt) -> bool:
         """True when ``b`` runs after ``a`` on every fall-through path."""
@@ -619,59 +604,6 @@ class StatementOrder:
         block_b, index_b = pb[depth]
         block_a, index_a = pa[depth]
         return block_b == block_a and index_b < index_a
-
-    def may_follow(self, a: ast.stmt, b: ast.stmt) -> bool:
-        """True when ``b`` may execute after ``a`` (fall-through
-        reachability, stopping at terminator statements)."""
-        pa = self._paths.get(id(a))
-        pb = self._paths.get(id(b))
-        if pa is None or pb is None:
-            return False
-        # Walk outward from a's innermost block; at each level, the
-        # statements after a's ancestor are reachable unless a
-        # terminator cuts the block off first.
-        for depth in range(len(pa) - 1, -1, -1):
-            block_serial, index = pa[depth]
-            block = self._blocks[block_serial]
-            for later_index in range(index + 1, len(block)):
-                later = block[later_index]
-                if self._contains(later, pb, depth, block_serial, later_index):
-                    return True
-                if isinstance(later, _TERMINATORS):
-                    return False
-            # The block fell through; if any statement *at or before*
-            # a's ancestor ends in a terminator we would have exited
-            # already.  Keep walking outward.
-        return False
-
-    def _contains(
-        self,
-        stmt: ast.stmt,
-        pb: Tuple[Tuple[int, int], ...],
-        depth: int,
-        block_serial: int,
-        index: int,
-    ) -> bool:
-        """True when path ``pb`` runs through ``stmt``."""
-        return len(pb) > depth and pb[depth] == (block_serial, index)
-
-    def fallthrough(self, a: ast.stmt) -> Iterator[ast.stmt]:
-        """Statements that may execute after ``a``, in fall-through
-        order (innermost block outward).  A terminator statement ends
-        the scan: nothing past a ``return``/``raise``/``continue``/
-        ``break`` on this path is reachable by falling through.
-        Statements are yielded whole -- a later ``if`` arrives as one
-        statement; callers inspect its subtree themselves."""
-        pa = self._paths.get(id(a))
-        if pa is None:
-            return
-        for depth in range(len(pa) - 1, -1, -1):
-            block_serial, index = pa[depth]
-            block = self._blocks[block_serial]
-            for later in block[index + 1:]:
-                yield later
-                if isinstance(later, _TERMINATORS):
-                    return
 
 
 def _child_blocks(node: ast.AST) -> List[List[ast.stmt]]:

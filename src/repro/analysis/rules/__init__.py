@@ -11,7 +11,6 @@ PAR003     error     frozen arena buffers thawed before element-wise writes
 PERF001    warning   hot-path manifest classes declare ``__slots__``
 SIM001     error     process bodies yield only Timeout/Wait directives
 SIM002     warning   capture/snapshot methods pair with restore methods
-SIM003     error     reusable events recycled before callback, dead after
 VER001     error     Q-buffer mutations bump ``version`` on every path
 ========== ========= ====================================================
 

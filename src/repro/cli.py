@@ -15,10 +15,12 @@ lint       run the determinism / sim-safety static analyzer
 ========== ==========================================================
 
 Bad input -- an unknown ADL, ``--jobs`` or ``--episodes`` below 1, a
-``--severity`` outside [0, 1], an unreadable or invalid ``--config``
-file, a ``--cache`` directory that cannot be created, ``train --save``
-of a run that never converged -- exits with status 2 and one
-``repro: error: ...`` line on stderr.
+``--severity`` outside [0, 1], a bad ``--routine``, an out-of-range
+fleet setting, a bad ``lint`` path, rule or baseline, an unreadable or
+invalid ``--config`` file, a ``--cache`` directory that cannot be
+created, ``train --save`` or ``simulate`` with a policy that never
+converged -- exits with status 2 and one ``repro: error: ...`` line on
+stderr.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from repro.core.adl import Routine
 from repro.core.errors import (
     ConfigurationError,
     NotConvergedError,
+    RoutineError,
     UnknownADLError,
 )
 from repro.core.system import CoReDA
@@ -223,41 +226,39 @@ def _resolve_config(args: argparse.Namespace) -> CoReDAConfig:
     return CoReDAConfig(seed=args.seed)
 
 
-def _parse_routine(
-    parser: argparse.ArgumentParser, definition, spec: str
-) -> Routine:
-    """Parse ``--routine 1,3,2,4`` or exit with a readable error."""
+def _parse_routine(definition, spec: str) -> Routine:
+    """Parse ``--routine 1,3,2,4``; a bad spec is a usage error."""
     step_ids = []
     for part in spec.split(","):
         part = part.strip()
         try:
             step_ids.append(int(part))
         except ValueError:
-            parser.error(
+            raise UsageError(
                 f"--routine: {part!r} is not a StepID; expected "
                 f"comma-separated integers, e.g. 1,3,2,4"
-            )
+            ) from None
     known = {step.step_id for step in definition.adl.steps}
     unknown = [step_id for step_id in step_ids if step_id not in known]
     if unknown:
-        parser.error(
+        raise UsageError(
             f"--routine: no step {unknown[0]} in "
             f"{definition.adl.name} (StepIDs: "
             f"{', '.join(str(s) for s in sorted(known))})"
         )
     try:
         return Routine(definition.adl, step_ids)
-    except ValueError as exc:
-        parser.error(f"--routine: {exc}")
+    except RoutineError as exc:
+        raise UsageError(f"--routine: {exc}") from None
 
 
-def _cmd_train(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_train(args: argparse.Namespace) -> int:
     definition = _definition(args.adl)
     _check_episodes(args.episodes)
     system = CoReDA.build(definition, _resolve_config(args))
     routine = None
     if args.routine:
-        routine = _parse_routine(parser, definition, args.routine)
+        routine = _parse_routine(definition, args.routine)
     try:
         # Only a saved policy must have converged; a plain run prints
         # "not reached" instead.
@@ -289,7 +290,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if not 0.0 <= args.severity <= 1.0:
         raise UsageError(f"--severity must be in [0, 1], got {args.severity}")
     system = CoReDA.build(definition, _resolve_config(args))
-    system.train_offline()
+    try:
+        system.train_offline()
+    except NotConvergedError as exc:
+        raise UsageError(f"simulate: {exc}") from None
     if args.adapt:
         system.enable_online_adaptation()
     reliable = {
@@ -352,7 +356,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fleet(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_fleet(args: argparse.Namespace) -> int:
     from repro.fleet import FleetSpec, run_fleet
 
     _check_jobs(args.jobs)
@@ -369,7 +373,7 @@ def _cmd_fleet(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             shard_size=args.shard_size,
         )
     except ValueError as exc:
-        parser.error(str(exc))
+        raise UsageError(str(exc)) from None
     start = time.perf_counter()  # repro: allow[DET002] timing display only
     result = run_fleet(
         spec,
@@ -388,7 +392,7 @@ def _cmd_fleet(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis import (
         Baseline,
         LintUsageError,
@@ -403,7 +407,7 @@ def _cmd_lint(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         rule_ids = [part.strip() for part in args.rules.split(",")
                     if part.strip()]
         if not rule_ids:
-            parser.error("--rules: expected comma-separated rule IDs")
+            raise UsageError("--rules: expected comma-separated rule IDs")
     try:
         report = lint_paths(args.paths, rule_ids)
         if args.write_baseline:
@@ -414,7 +418,7 @@ def _cmd_lint(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         if args.baseline:
             report = Baseline.load(args.baseline).apply(report)
     except LintUsageError as exc:
-        parser.error(str(exc))
+        raise UsageError(str(exc)) from None
     if args.format == "json":
         rendered = render_json(report)
     elif args.format == "sarif":
@@ -427,20 +431,19 @@ def _cmd_lint(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args, parser)
+        return _dispatch(args)
     except UsageError as exc:
         sys.stderr.write(f"repro: error: {exc}\n")
         return 2
 
 
-def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "list-adls":
         return _cmd_list_adls()
     if args.command == "train":
-        return _cmd_train(args, parser)
+        return _cmd_train(args)
     if args.command == "simulate":
         return _cmd_simulate(args)
     if args.command == "scenario":
@@ -448,9 +451,9 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.command == "report":
         return _cmd_report(args)
     if args.command == "fleet":
-        return _cmd_fleet(args, parser)
+        return _cmd_fleet(args)
     if args.command == "lint":
-        return _cmd_lint(args, parser)
+        return _cmd_lint(args)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -198,23 +198,11 @@ class CoReDA:
         :class:`CoReDAError` on a stuck episode, like
         :meth:`run_episode`.
         """
-        self.start()
-        process = resident.start_episode()
-        deadline = self.sim.now + horizon
-        while not process.done and self.sim.now < deadline:
-            next_time = self.sim.peek()
-            if next_time is None or next_time > deadline:
-                break
-            self.sim.step()
-        if not process.done:
-            raise CoReDAError(
-                f"observed episode did not complete within {horizon}s"
-            )
-        self.sensing.reset_episode()
-        if self.planning is not None:
-            self.planning.reset_episode()
-        assert resident.outcome is not None
-        return resident.outcome
+        return self._drive_episode(
+            resident,
+            horizon,
+            f"observed episode did not complete within {horizon}s",
+        )
 
     def train_from_history(
         self,
@@ -348,6 +336,18 @@ class CoReDA:
         """
         if self.planning is None:
             raise CoReDAError("train_offline must run before live episodes")
+        return self._drive_episode(
+            resident,
+            horizon,
+            f"episode did not complete within {horizon}s of simulated time",
+        )
+
+    def _drive_episode(
+        self, resident: Resident, horizon: float, stuck_message: str
+    ) -> EpisodeOutcome:
+        """Run the resident's episode event by event, then reset the
+        per-episode state; raise ``CoReDAError(stuck_message)`` if it
+        is still running after ``horizon`` simulated seconds."""
         self.start()
         process = resident.start_episode()
         deadline = self.sim.now + horizon
@@ -357,11 +357,10 @@ class CoReDA:
                 break
             self.sim.step()
         if not process.done:
-            raise CoReDAError(
-                f"episode did not complete within {horizon}s of simulated time"
-            )
-        self.planning.reset_episode()
+            raise CoReDAError(stuck_message)
         self.sensing.reset_episode()
+        if self.planning is not None:
+            self.planning.reset_episode()
         assert resident.outcome is not None
         return resident.outcome
 

@@ -54,9 +54,8 @@ from repro.sim.tracing import TraceRecorder
 __all__ = ["Led", "PavenetNode"]
 
 #: Samples per block while the tool is handled (1 s at 10 Hz), and the
-#: first idle block's length.  Pure speed constants, like
-#: :data:`repro.sim.kernel._BUCKET_WIDTH`: any block lengths replay the
-#: same event stream.
+#: first idle block's length.  A pure speed constant: any block
+#: lengths replay the same event stream.
 _BLOCK_SAMPLES = 10
 #: Cap on the idle block length (60 s at 10 Hz).  Idle blocks double
 #: up to it, so a tail discarded by a regime change is never longer
@@ -165,11 +164,8 @@ class PavenetNode:
         self._block_last = 0.0
         self._block_source_state: Optional[SourceState] = None
         self._block_detector_state: Optional[DetectorState] = None
-        # (scheduled time, event) pairs: the time rides along because
-        # the events are scheduled ``reusable`` -- once one has fired
-        # the kernel may recycle the object, so pruning decisions must
-        # never read fields off a handle that might be dead.
-        self._block_pending: List[Tuple[float, Event]] = []
+        # Usage reports scheduled for the current block's later hits.
+        self._block_pending: List[Event] = []
         source.subscribe_regime(self._on_regime_change)
         radio.attach(self.uid, self._on_frame)
 
@@ -183,9 +179,7 @@ class PavenetNode:
         self._idle_samples = _BLOCK_SAMPLES
         self._block_running = True
         self._booting = True
-        self._block_event = self.sim.schedule(
-            0.0, self._process_block, reusable=True
-        )
+        self._block_event = self.sim.schedule(0.0, self._process_block)
 
     def _start_per_sample(self) -> None:
         self._loop = Process(
@@ -278,9 +272,8 @@ class PavenetNode:
             if index == 0:
                 self._report_usage()
             else:
-                time = float(times[index])
                 pending.append(
-                    (time, sim.schedule_at(time, self._report_usage, reusable=True))
+                    sim.schedule_at(float(times[index]), self._report_usage)
                 )
         last = float(times[-1])
         self._block_t0 = t0
@@ -289,7 +282,7 @@ class PavenetNode:
         self._block_booted = self._booting
         self._booting = False
         self._block_event = sim.schedule_at(
-            last + self._period, self._process_block, reusable=True
+            last + self._period, self._process_block
         )
 
     def _on_regime_change(self) -> None:
@@ -308,7 +301,7 @@ class PavenetNode:
         resume = self._rollback(regime)
         if resume is not None:
             self._block_event = self.sim.schedule_at(
-                resume, self._process_block, reusable=True
+                resume, self._process_block
             )
 
     def _rollback(
@@ -349,12 +342,12 @@ class PavenetNode:
         if j == len(times):
             return None
         resume = float(times[j])
-        kept: List[Tuple[float, Event]] = []
-        for time, event in self._block_pending:
-            if time >= resume:
+        kept: List[Event] = []
+        for event in self._block_pending:
+            if event.time >= resume:
                 event.cancel()
             else:
-                kept.append((time, event))
+                kept.append(event)
         self._block_pending = kept
         if self._block_event is not None:
             self._block_event.cancel()

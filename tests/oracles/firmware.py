@@ -6,8 +6,7 @@ block sampler of :class:`repro.sensors.pavenet.PavenetNode` must
 reproduce byte for byte (``tests/test_oracles.py``,
 ``tests/test_sensing_fast_path.py``).  The loop itself is the
 production path of battery-powered nodes; :func:`per_sample_firmware`
-swaps it in at the ``start`` seam for every node, the way
-:func:`oracles.kernel.heap_simulator` swaps in the heap queue.
+swaps it in at the ``start`` seam for every node.
 """
 
 from __future__ import annotations

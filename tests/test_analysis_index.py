@@ -301,27 +301,6 @@ class TestStatementOrder:
         bump = function.body[1].body[0]
         assert not order.covers_after(write, bump)
 
-    def test_fallthrough_stops_at_terminator(self):
-        function, order = self._order(
-            """
-            def f(items):
-                for item in items:
-                    first()
-                    continue
-                    second()
-                after_loop()
-            """
-        )
-        first = function.body[0].body[0]
-        later = [
-            getattr(stmt.value.func, "id", "?")
-            for stmt in order.fallthrough(first)
-            if hasattr(stmt, "value")
-        ]
-        # continue ends the scan: neither the dead statement after it
-        # nor the post-loop statement is reachable by falling through.
-        assert "second" not in later and "after_loop" not in later
-
 
 class TestIterPythonFiles:
     def test_overlapping_arguments_deduplicate(self, tmp_path):

@@ -80,17 +80,13 @@ class TestTrain:
         assert "unknown ADL 'cooking'" in capsys.readouterr().err
 
     def test_routine_with_non_integer_exits_cleanly(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["train", "tea-making", "--routine", "1,x,3"])
-        assert excinfo.value.code == 2
+        assert main(["train", "tea-making", "--routine", "1,x,3"]) == 2
         err = capsys.readouterr().err
         assert "'x' is not a StepID" in err
         assert "Traceback" not in err
 
     def test_routine_with_unknown_step_exits_cleanly(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["train", "tea-making", "--routine", "1,99,3"])
-        assert excinfo.value.code == 2
+        assert main(["train", "tea-making", "--routine", "1,99,3"]) == 2
         err = capsys.readouterr().err
         assert "no step 99 in tea-making" in err
         assert "StepIDs: 1, 2, 3, 4" in err
@@ -243,6 +239,29 @@ BAD_INPUTS = {
                      "--save", str(tmp / "policy.json")],
         "--save: training never reached the 95% criterion",
     ),
+    "simulate-never-converges": (
+        lambda tmp: ["simulate", "tea-making", "--config", _write(
+            tmp / "always-explore.json",
+            '{"planning": {"epsilon_decay": 1.0, "epsilon": 0.4}}',
+        )],
+        "simulate: training never reached the 95% criterion",
+    ),
+    "fleet-homes-0": (lambda tmp: ["fleet", "--homes", "0"],
+                      "homes must be positive"),
+    "train-routine-unknown-step": (
+        lambda tmp: ["train", "tea-making", "--routine", "1,9"],
+        "--routine: no step 9 in tea-making",
+    ),
+    "train-routine-repeated-step": (
+        lambda tmp: ["train", "tea-making", "--routine", "1,1,2"],
+        "--routine: routine for 'tea-making' repeats StepID 1",
+    ),
+    "lint-rules-empty": (lambda tmp: ["lint", "--rules", ",", str(tmp)],
+                         "--rules: expected comma-separated rule IDs"),
+    "lint-unknown-rule": (lambda tmp: ["lint", "--rules", "DET999", str(tmp)],
+                          "DET999"),
+    "lint-missing-path": (lambda tmp: ["lint", str(tmp / "absent")],
+                          "absent"),
 }
 
 

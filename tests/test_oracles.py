@@ -4,18 +4,16 @@ Every production data structure below has one implementation in
 ``src/``.  Its reference twin lives under ``tests/oracles/`` (or, for
 the shard kernel, is the per-item public API), and Hypothesis drives
 both through the same random operation sequences: any observable
-difference -- a popped ``(time, seq)``, a Q-value, an argmax
-tie-break, a trace -- fails the test.
+difference -- a Q-value, an argmax tie-break, a trace, a sample --
+fails the test.  The event kernel has no twin: its order is checked
+against a ``sorted()`` model in ``tests/test_sim_kernel_backends.py``.
 """
 
 from __future__ import annotations
 
-import math
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracles.kernel import HeapQueue
 from oracles.qtable import QTable
 from oracles.traces import EligibilityTraces
 from test_sensing_fast_path import run_script
@@ -27,114 +25,6 @@ from repro.planning.store import PolicyCache
 from repro.rl.dense import DenseQTable, DenseTraces
 from repro.rl.traces import TraceKind
 from repro.sensors.pavenet import _MAX_IDLE_SAMPLES, PavenetNode
-from repro.sim.kernel import Event, _CalendarQueue
-
-# ---------------------------------------------------------------------------
-# Event queue: _CalendarQueue vs the heapq oracle
-# ---------------------------------------------------------------------------
-
-#: Delays relative to the clock: repeats force same-instant ties, 0.0
-#: forces pushes into the bucket being drained, and the spread crosses
-#: bucket boundaries (the production width is 0.5 s).
-DELAYS = (0.0, 0.0, 0.01, 0.1, 0.25, 0.5, 0.7, 1.0, 3.0, 40.0)
-
-queue_ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("push"), st.sampled_from(DELAYS)),
-        st.tuples(st.just("cancel"), st.integers(0, 1 << 20)),
-        st.tuples(st.just("run"), st.sampled_from((0.0, 0.05, 0.5, 2.0, 50.0))),
-        st.tuples(st.just("step"), st.just(0)),
-        st.tuples(st.just("peek"), st.just(0)),
-        # A burst into one bucket, then cancel all but every k-th:
-        # drives the calendar's eager compaction past _COMPACT_MIN.
-        st.tuples(st.just("storm"), st.integers(2, 5)),
-    ),
-    max_size=80,
-)
-
-
-class _QueueDriver:
-    """One queue plus the clock discipline ``Simulator`` imposes on it:
-    pushes never precede ``now``; a drained ``run`` parks ``now`` at
-    its horizon (which is how pushes *before* the current bucket
-    arise after a ``peek`` has activated a later one)."""
-
-    def __init__(self, queue) -> None:
-        self.queue = queue
-        self.now = 0.0
-        self.seq = 0
-        self.events = []
-        self.log = []
-
-    def push(self, delay: float) -> None:
-        event = Event(time=self.now + delay, seq=self.seq)
-        self.seq += 1
-        self.events.append(event)
-        self.queue.push(event)
-
-    def apply(self, op, arg) -> None:
-        queue = self.queue
-        if op == "push":
-            self.push(arg)
-        elif op == "cancel" and self.events:
-            self.events[arg % len(self.events)].cancel()
-        elif op == "run":
-            horizon = self.now + arg
-            while True:
-                event = queue.pop_due(horizon)
-                if event is None:
-                    break
-                self.now = event.time
-                self.log.append(("fire", event.time, event.seq))
-            self.now = horizon
-        elif op == "step":
-            event = queue.pop_due(math.inf)
-            if event is not None:
-                self.now = event.time
-                self.log.append(("fire", event.time, event.seq))
-        elif op == "peek":
-            self.log.append(("peek", queue.peek_time()))
-        elif op == "storm":
-            start = len(self.events)
-            for i in range(3 * _CalendarQueue._COMPACT_MIN):
-                self.push(0.3 + i * 0.001)
-            for i, event in enumerate(self.events[start:]):
-                if i % arg:
-                    event.cancel()
-        self.log.append(("live", queue.live))
-
-
-@settings(max_examples=200, deadline=None)
-@given(queue_ops)
-def test_calendar_queue_matches_heap_oracle(ops):
-    calendar = _QueueDriver(_CalendarQueue())
-    heap = _QueueDriver(HeapQueue())
-    for op, arg in ops + [("run", math.inf)]:
-        calendar.apply(op, arg)
-        heap.apply(op, arg)
-    assert calendar.log == heap.log
-
-
-def test_queue_driver_reaches_the_interesting_paths():
-    """The strategy above can hit both rare calendar paths: eager
-    compaction and a push before the current bucket."""
-    driver = _QueueDriver(_CalendarQueue())
-    driver.apply("storm", 4)
-    # 48 pushes, 36 cancelled: compaction dropped the dead events.
-    assert len(driver.queue._buckets[0]) < 48
-    driver.apply("push", 3.0)
-    driver.apply("run", 2.0)
-    driver.apply("peek", 0)  # activates the bucket holding t=3.0
-    cur_key = driver.queue._cur_key
-    driver.apply("push", 0.1)  # t=2.1: before the current bucket
-    assert math.floor(2.1 / 0.5) < cur_key
-    heap = _QueueDriver(HeapQueue())
-    for op, arg in [("storm", 4), ("push", 3.0), ("run", 2.0), ("peek", 0),
-                    ("push", 0.1), ("run", math.inf)]:
-        heap.apply(op, arg)
-    driver.apply("run", math.inf)
-    assert driver.log == heap.log
-
 
 # ---------------------------------------------------------------------------
 # Q-table: DenseQTable vs the dict-backed oracle
